@@ -4,14 +4,9 @@ from .agent_sim import (
     AbmTrajectory,
     LearningParams,
     Population,
-    Strategy,
-    combinations,
     fermi_probability,
     gillespie_select,
-    pairwise_switch_rate,
-    play_round,
     run_abm,
-    step_generation,
 )
 from .analysis import TrajectoryStats, stats, trajectory_distance
 from .config import RunConfig, load_config, save_config
@@ -34,7 +29,6 @@ from .game_core import (
     outcome_distribution,
 )
 from .network import (
-    DensityConvention,
     Graph,
     GraphParams,
     degree_sum,
@@ -46,13 +40,11 @@ from .network import (
 from .payoffs import (
     PayoffProfile,
     PGGParams,
-    SampleComposition,
     SimplexState,
     average_payoff,
     expected_defector_payoff,
     expected_profile,
     realized_payoffs,
-    sample_payoffs,
 )
 from .plotting import plot_simplex
 

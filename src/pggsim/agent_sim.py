@@ -7,8 +7,8 @@ probability pr it plays one round together with a randomly drawn role agent
 and adopts the role's strategy with a payoff-dependent logistic probability.
 One generation is M events.
 
-Agents carry no state besides their strategy, so the simulator tracks
-strategy counts internally; rosters are materialized at the boundaries.
+Agents carry no state besides their strategy, so a population is just its
+three strategy counts.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -17,43 +17,28 @@ runs (sweeps, seed batches) must simply use distinct seeds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoEventError
-from .payoffs import PayoffProfile, PGGParams, SimplexState, _expected_terms, realized_payoffs
-
-
-class Strategy(enum.IntEnum):
-    COOPERATOR = 0
-    DEFECTOR = 1
-    LONER = 2
+from .payoffs import PGGParams, realized_payoffs
 
 
 @dataclass(frozen=True)
 class Population:
-    """Fixed roster of agents identified only by their strategy."""
+    """Numbers of cooperators, defectors and loners in a fixed roster of agents."""
 
-    members: tuple[Strategy, ...]
+    n_c: int
+    n_d: int
+    n_l: int
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) == 0:
-            raise ValueError("population must not be empty")
-        if any(not isinstance(m, Strategy) for m in self.members):
-            raise ValueError("members must be Strategy values")
-
-    @classmethod
-    def from_counts(cls, n_c: int, n_d: int, n_l: int) -> "Population":
-        if min(n_c, n_d, n_l) < 0:
+        if min(self.n_c, self.n_d, self.n_l) < 0:
             raise ValueError("strategy counts must be nonnegative")
-        members = (
-            (Strategy.COOPERATOR,) * n_c + (Strategy.DEFECTOR,) * n_d + (Strategy.LONER,) * n_l
-        )
-        return cls(members)
+        if self.size == 0:
+            raise ValueError("population must not be empty")
 
     @classmethod
     def from_fractions(cls, size: int, x: float, y: float, z: float) -> "Population":
@@ -65,25 +50,14 @@ class Population:
         n_l = size - n_c - n_d
         if n_l < 0:
             raise ValueError("rounded counts exceed the population size")
-        return cls.from_counts(n_c, n_d, n_l)
+        return cls(n_c, n_d, n_l)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.n_c + self.n_d + self.n_l
 
     def counts(self) -> tuple[int, int, int]:
-        n_c = n_d = 0
-        for m in self.members:
-            if m == 0:
-                n_c += 1
-            elif m == 1:
-                n_d += 1
-        return n_c, n_d, len(self.members) - n_c - n_d
-
-    def fractions(self) -> tuple[float, float, float]:
-        n_c, n_d, n_l = self.counts()
-        m = len(self.members)
-        return n_c / m, n_d / m, n_l / m
+        return self.n_c, self.n_d, self.n_l
 
 
 @dataclass(frozen=True)
@@ -91,25 +65,19 @@ class LearningParams:
     """Imitation and exploration knobs.
 
     beta is the selection intensity of the logistic comparison, pr gates the
-    imitation channel, pe the exploration channel. mu_inc/sigma_inc describe
-    a normally distributed strategy increment; they are parsed and stored for
-    compatibility but unused by the discrete three-strategy simulator.
+    imitation channel, pe the exploration channel.
     """
 
     beta: float = 1.0
     pr: float = 1.0
     pe: float = 1e-3
-    mu_inc: float = 0.0
-    sigma_inc: float = 0.0
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        for name, v in (("pr", self.pr), ("pe", self.pe), ("mu_inc", self.mu_inc)):
+        for name, v in (("pr", self.pr), ("pe", self.pe)):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.sigma_inc < 0:
-            raise ValueError(f"sigma_inc must be nonnegative, got {self.sigma_inc}")
 
 
 @dataclass(frozen=True)
@@ -141,21 +109,6 @@ def fermi_probability(pi_focal: float, pi_role: float, beta: float) -> float:
     return e / (1.0 + e)
 
 
-def pairwise_switch_rate(state: SimplexState, payoffs: PayoffProfile, i: int) -> float:
-    """Net frequency flow into strategy i under pairwise proportional imitation.
-
-    x_i * sum_j (P_i - P_j) * x_j: gains from others imitating i minus losses
-    from i imitating others. Summed against the expected payoffs this equals
-    the selection part of the deterministic flow, which is the cross-check it
-    exists for.
-    """
-    if i not in (0, 1, 2):
-        raise ValueError(f"strategy index must be 0, 1, or 2, got {i}")
-    x = state.as_tuple()
-    p = (payoffs.P_c, payoffs.P_d, payoffs.P_l)
-    return x[i] * sum((p[i] - p[j]) * x[j] for j in range(3))
-
-
 def gillespie_select(propensities, z1: float) -> int:
     """Index r whose cumulative propensity bracket contains z1.
 
@@ -179,51 +132,33 @@ def gillespie_select(propensities, z1: float) -> int:
     return len(props) - 1  # guards against rounding in the final bracket
 
 
-def combinations(n: int, r: int) -> int:
-    """Exact binomial coefficient, built multiplicatively to avoid factorial blowup."""
-    if n < 0 or r < 0:
-        raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
-    if r > n:
-        raise ValueError(f"r must not exceed n, got n={n}, r={r}")
-    r = min(r, n - r)
-    result = 1
-    for k in range(1, r + 1):
-        result = result * (n - r + k) // k
-    return result
+def _payoff_tables(
+    params: PGGParams, beta: float
+) -> tuple[list[list[float]], list[list[list[float]]]]:
+    """Per-run lookup tables of the round an imitation event plays.
 
-
-def play_round(
-    pop: Population,
-    params: PGGParams,
-    rng: np.random.Generator,
-    charge_participation: bool = True,
-    strict_participation: bool = False,
-) -> np.ndarray:
-    """Draw one group of N agents uniformly without replacement and pay out one round.
-
-    Returns per-agent payoff deltas (length M): sampled loners and all
-    non-sampled agents get 0. strict_participation voids rounds lacking both
-    a cooperator and a defector; otherwise any two or more participants play,
-    and a lone participant gets the stay-out payoff 0.
+    pay[jc][jd] is the summed payoff of a round with jc cooperators and jd
+    defectors. adopt[3 * focal + role][jc][jd] is the probability that the
+    focal adopts the role's strategy after that round; it is 0 when the two
+    already share a strategy. Both come from realized_payoffs and
+    fermi_probability alone.
     """
-    if pop.size != params.M:
-        raise ValueError(f"population size {pop.size} does not match params.M={params.M}")
-    deltas = np.zeros(pop.size)
-    idx = rng.choice(pop.size, size=params.N, replace=False)
-    strategies = [pop.members[i] for i in idx]
-    n_c = strategies.count(Strategy.COOPERATOR)
-    n_d = strategies.count(Strategy.DEFECTOR)
-    if n_c + n_d < 2:
-        return deltas
-    if strict_participation and (n_c == 0 or n_d == 0):
-        return deltas
-    p_c, p_d = realized_payoffs(n_c, n_d, params, charge_participation)
-    for i, s in zip(idx, strategies):
-        if s == Strategy.COOPERATOR:
-            deltas[i] = p_c
-        elif s == Strategy.DEFECTOR:
-            deltas[i] = p_d
-    return deltas
+    n = params.N
+    pay = [[0.0] * (n + 1) for _ in range(n + 1)]
+    adopt = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(9)]
+    for jc in range(n + 1):
+        for jd in range(n + 1 - jc):
+            # a round without participants pays nothing, like a lone participant
+            p_c, p_d = realized_payoffs(jc, jd, params) if jc + jd else (0.0, 0.0)
+            pay[jc][jd] = jc * p_c + jd * p_d
+            pi = (p_c, p_d, 0.0)
+            for focal in range(3):
+                for role in range(3):
+                    if role != focal:
+                        adopt[3 * focal + role][jc][jd] = fermi_probability(
+                            pi[focal], pi[role], beta
+                        )
+    return pay, adopt
 
 
 def _run_generation(
@@ -231,9 +166,8 @@ def _run_generation(
     params: PGGParams,
     lp: LearningParams,
     rng: np.random.Generator,
-    charge_participation: bool,
-    strict_participation: bool,
-    expected_payoff_comparison: bool,
+    pay: list[list[float]],
+    adopt: list[list[list[float]]],
 ) -> tuple[float, int]:
     """Apply M asynchronous update events to counts in place.
 
@@ -244,10 +178,6 @@ def _run_generation(
     """
     m = params.M
     n = params.N
-    c = params.c
-    rc = params.r * params.c
-    fee = params.g if charge_participation else 0.0
-    beta = lp.beta
     pr = lp.pr
     pe = lp.pe
 
@@ -295,76 +225,29 @@ def _run_generation(
         # round group: focal, role, and N - 2 others drawn without replacement
         rem0 = r0 - (role == 0)
         rem1 = r1 - (role == 1)
-        j = [0, 0, 0]
-        j[focal] += 1
-        j[role] += 1
+        jc = (focal == 0) + (role == 0)
+        jd = (focal == 1) + (role == 1)
         remaining = m - 2
         for _ in range(n - 2):
             v = uniforms[k] * remaining
             k += 1
             if v < rem0:
-                j[0] += 1
+                jc += 1
                 rem0 -= 1
             elif v < rem0 + rem1:
-                j[1] += 1
+                jd += 1
                 rem1 -= 1
-            else:
-                j[2] += 1
             remaining -= 1
 
-        jc, jd = j[0], j[1]
-        s = jc + jd
-        if s < 2 or (strict_participation and (jc == 0 or jd == 0)):
-            p_c = p_d = 0.0
-        else:
-            p_c = rc * (jc - 1) / (s - 1) - c - fee
-            p_d = rc * jc / (s - 1) - fee
-        pay_sum += jc * p_c + jd * p_d
+        pay_sum += pay[jc][jd]
         pay_count += n
 
-        if expected_payoff_comparison:
-            e_c, e_d = _expected_terms(
-                counts[0] / m, counts[2] / m, n, c, params.r, params.g
-            )
-            pi_focal = e_c if focal == 0 else (e_d if focal == 1 else 0.0)
-            pi_role = e_c if role == 0 else (e_d if role == 1 else 0.0)
-        else:
-            pi_focal = p_c if focal == 0 else (p_d if focal == 1 else 0.0)
-            pi_role = p_c if role == 0 else (p_d if role == 1 else 0.0)
-
-        t = beta * (pi_role - pi_focal)
-        if t >= 0.0:
-            adopt_p = 1.0 / (1.0 + math.exp(-t))
-        else:
-            e = math.exp(t)
-            adopt_p = e / (1.0 + e)
-        if uniforms[k] < adopt_p and role != focal:
+        if uniforms[k] < adopt[3 * focal + role][jc][jd]:
             counts[focal] -= 1
             counts[role] += 1
         k += 1
 
     return pay_sum, pay_count
-
-
-def step_generation(
-    pop: Population,
-    params: PGGParams,
-    lp: LearningParams,
-    rng: np.random.Generator,
-    *,
-    charge_participation: bool = True,
-    strict_participation: bool = False,
-    expected_payoff_comparison: bool = False,
-) -> Population:
-    """Advance the population by one generation of M asynchronous update events."""
-    if pop.size != params.M:
-        raise ValueError(f"population size {pop.size} does not match params.M={params.M}")
-    counts = list(pop.counts())
-    _run_generation(
-        counts, params, lp, rng, charge_participation, strict_participation,
-        expected_payoff_comparison,
-    )
-    return Population.from_counts(*counts)
 
 
 def run_abm(
@@ -373,15 +256,11 @@ def run_abm(
     lp: LearningParams,
     generations: int,
     seed: int,
-    *,
-    charge_participation: bool = True,
-    strict_participation: bool = False,
-    expected_payoff_comparison: bool = False,
 ) -> AbmTrajectory:
     """Iterate generations from a fresh seeded generator, recording fractions and mean payoff.
 
     The whole trajectory is a pure function of (initial, params, lp,
-    generations, seed, flags).
+    generations, seed).
     """
     if initial.size != params.M:
         raise ValueError(f"population size {initial.size} does not match params.M={params.M}")
@@ -390,6 +269,7 @@ def run_abm(
     rng = np.random.default_rng(seed)
     m = params.M
     counts = list(initial.counts())
+    pay, adopt = _payoff_tables(params, lp.beta)
 
     gens = np.arange(generations + 1)
     freqs = np.empty((generations + 1, 3))
@@ -397,10 +277,7 @@ def run_abm(
     freqs[0] = (counts[0] / m, counts[1] / m, counts[2] / m)
 
     for gen in range(1, generations + 1):
-        pay_sum, pay_count = _run_generation(
-            counts, params, lp, rng, charge_participation, strict_participation,
-            expected_payoff_comparison,
-        )
+        pay_sum, pay_count = _run_generation(counts, params, lp, rng, pay, adopt)
         freqs[gen] = (counts[0] / m, counts[1] / m, counts[2] / m)
         means[gen] = pay_sum / pay_count if pay_count else 0.0
 

@@ -18,7 +18,7 @@ from . import analysis, game_core
 from .agent_sim import run_abm
 from .config import RunConfig, load_config
 from .dynamics import integrate
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .network import generate_er, edge_list_text
 from .plotting import plot_simplex
 
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

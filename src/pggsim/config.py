@@ -1,10 +1,8 @@
 """Run configuration: flat key = value files, aliases, defaults, round-trip.
 
-Keys follow the model's parameter tables: M, N, tt, t, g, c, r, u for the
-game; s/w/beta, pr, pe, mu, sigma for learning; n, p for the generated
-network; plus artifact keys mode, density, dt, steps, x0/y0/z0, seed, out,
-plot. `mu`/`sigma` are the normal-increment parameters, not the mutation
-rate (that is `u`).
+Keys follow the model's parameter tables: M, N, t, g, c, r, u for the game;
+s/w/beta, pr, pe for learning; n, p for the generated network; plus artifact
+keys mode, density, dt, steps, x0/y0/z0, seed, out, plot.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ class RunConfig:
 
     M: int = 100
     N: int = 5
-    tt: int = 1
     t: int = 10000
     g: float = 0.5
     c: float = 1.0
@@ -39,8 +36,6 @@ class RunConfig:
     beta: float = 1.0
     pr: float = 1.0
     pe: float = 1e-3
-    mu: float = 0.0
-    sigma: float = 0.0
     n: int = 100
     p: float = 0.1
     mode: str = "mutator"
@@ -61,11 +56,6 @@ class RunConfig:
         self.graph_params()
         self.dynamics_mode()
         self.initial_state()
-        if self.tt != 1:
-            raise ConfigError(
-                f"tt (rounds per generation) must be 1, got {self.tt}: each update event "
-                "realizes payoffs from exactly one round"
-            )
         if self.t < 0:
             raise ConfigError(f"t (generations) must be nonnegative, got {self.t}")
         if self.dt <= 0:
@@ -77,9 +67,7 @@ class RunConfig:
         return PGGParams(M=self.M, N=self.N, c=self.c, r=self.r, g=self.g, u=self.u)
 
     def learning_params(self) -> LearningParams:
-        return LearningParams(
-            beta=self.beta, pr=self.pr, pe=self.pe, mu_inc=self.mu, sigma_inc=self.sigma
-        )
+        return LearningParams(beta=self.beta, pr=self.pr, pe=self.pe)
 
     def graph_params(self) -> GraphParams:
         return GraphParams(n=self.n, p=self.p, seed=self.seed)
@@ -99,10 +87,9 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = {"M", "N", "tt", "t", "n", "steps", "seed"}
+_INT_KEYS = {"M", "N", "t", "n", "steps", "seed"}
 _FLOAT_KEYS = {
-    "g", "c", "r", "u", "beta", "pr", "pe", "mu", "sigma", "p", "density",
-    "dt", "x0", "y0", "z0",
+    "g", "c", "r", "u", "beta", "pr", "pe", "p", "density", "dt", "x0", "y0", "z0",
 }
 _BOOL_KEYS = {"plot"}
 

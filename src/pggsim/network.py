@@ -7,8 +7,6 @@ exploration term of the network-scaled dynamics.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -109,37 +107,11 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-class DensityConvention(enum.Enum):
-    # Actual-over-potential connections with the social-tie count t = 2|E|
-    # entering as (2t/n) / (n(n-1)/2); can exceed 1 on dense small graphs.
-    TIE_RATIO = "ties"
-    # Plain graph density 2|E| / (n(n-1)), always in [0, 1].
-    STANDARD = "standard"
-
-
-def density_factor(g: Graph, convention: DensityConvention = DensityConvention.STANDARD) -> float:
-    """Social-tie density of a graph under either convention, clipped to [0, 1].
-
-    STANDARD is the default because it spans exactly the [0, 1] range the
-    scaled dynamics expects; TIE_RATIO is the actual/potential ratio built on
-    the doubled tie count t = 2|E|, which exceeds 1 on small dense graphs and
-    then triggers a warning before clipping.
-    """
+def density_factor(g: Graph) -> float:
+    """Plain graph density 2|E| / (n(n-1)), always in [0, 1]."""
     if g.n < 2:
         raise ValueError("density requires at least two nodes")
-    m = g.edge_count
-    if convention is DensityConvention.STANDARD:
-        return 2.0 * m / (g.n * (g.n - 1))
-    ties = 2 * m
-    actual = 2.0 * ties / g.n
-    potential = g.n * (g.n - 1) / 2.0
-    value = actual / potential
-    if value > 1.0:
-        warnings.warn(
-            f"actual/potential factor {value:.4g} exceeds 1; clipping to 1", stacklevel=2
-        )
-        return 1.0
-    return value
+    return 2.0 * g.edge_count / (g.n * (g.n - 1))
 
 
 def edge_list_text(g: Graph) -> str:

@@ -4,9 +4,9 @@ Three strategies: cooperators contribute c to a common pool multiplied by the
 interest rate r, defectors participate without contributing, loners stay out
 for a fixed payoff of 0. Participation itself costs g.
 
-Two levels are covered: payoffs of a concrete drawn group (sample level) and
-expected payoffs over group composition when coplayers are drawn from the
-population frequencies (x, y, z).
+Two levels are covered: payoffs of a concrete played round, and expected
+payoffs over group composition when coplayers are drawn from the population
+frequencies (x, y, z).
 """
 
 from __future__ import annotations
@@ -73,27 +73,6 @@ class SimplexState:
 
 
 @dataclass(frozen=True)
-class SampleComposition:
-    """Strategy counts of one drawn group: n_c + n_d + n_l = group size."""
-
-    n_c: int
-    n_d: int
-    n_l: int
-
-    def __post_init__(self):
-        if min(self.n_c, self.n_d, self.n_l) < 0:
-            raise ValueError("sample counts must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.n_c + self.n_d + self.n_l
-
-    @property
-    def participants(self) -> int:
-        return self.n_c + self.n_d
-
-
-@dataclass(frozen=True)
 class PayoffProfile:
     """Per-strategy expected payoffs and the population average."""
 
@@ -103,27 +82,7 @@ class PayoffProfile:
     P_bar: float
 
 
-def sample_payoffs(
-    comp: SampleComposition, params: PGGParams, charge_participation: bool = False
-) -> tuple[float, float]:
-    """Per-member payoffs (cooperator, defector) of a drawn group, pool split over the full group.
-
-    P_c = -c + r*c*n_c/N and P_d = r*c*n_c/N, so P_d - P_c = c exactly.
-    With charge_participation the cost g is subtracted from both.
-    Raises NoGameError for an all-loner group.
-    """
-    if comp.size != params.N:
-        raise ValueError(f"sample size {comp.size} does not match params.N={params.N}")
-    if comp.participants == 0:
-        raise NoGameError("all-loner sample: no game takes place")
-    share = params.r * params.c * comp.n_c / params.N
-    fee = params.g if charge_participation else 0.0
-    return -params.c + share - fee, share - fee
-
-
-def realized_payoffs(
-    n_c: int, n_d: int, params: PGGParams, charge_participation: bool = True
-) -> tuple[float, float]:
+def realized_payoffs(n_c: int, n_d: int, params: PGGParams) -> tuple[float, float]:
     """Per-member payoffs (cooperator, defector) of a played round, contributions shared among coplayers.
 
     Each cooperator's contribution c is multiplied by r and divided equally
@@ -141,9 +100,8 @@ def realized_payoffs(
     if s == 1:
         return 0.0, 0.0
     rc = params.r * params.c
-    fee = params.g if charge_participation else 0.0
-    p_c = rc * (n_c - 1) / (s - 1) - params.c - fee if n_c > 0 else 0.0
-    p_d = rc * n_c / (s - 1) - fee if n_d > 0 else 0.0
+    p_c = rc * (n_c - 1) / (s - 1) - params.c - params.g if n_c > 0 else 0.0
+    p_d = rc * n_c / (s - 1) - params.g if n_d > 0 else 0.0
     return p_c, p_d
 
 

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 from pggsim.agent_sim import (
     LearningParams,
     Population,
-    combinations,
     fermi_probability,
     gillespie_select,
-    pairwise_switch_rate,
-    play_round,
     run_abm,
-    step_generation,
 )
 from pggsim.analysis import stats
 from pggsim.errors import NoEventError
-from pggsim.payoffs import PGGParams, PayoffProfile, SimplexState, expected_profile
+from pggsim.payoffs import PGGParams, realized_payoffs
 
-from conftest import absorbed_since, random_simplex_states
+from conftest import absorbed_since
 
 finite_payoffs = st.floats(-50, 50)
 
@@ -52,52 +48,6 @@ class TestFermiProbability:
     def test_monotone_in_payoff_gap(self, deltas, beta):
         probs = [fermi_probability(0.0, d, beta) for d in sorted(deltas)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
-
-
-class TestPairwiseSwitchRate:
-    def test_absent_strategy(self):
-        state = SimplexState(0.0, 0.5, 0.5)
-        payoffs = PayoffProfile(1.0, 0.0, 0.0, 0.0)
-        assert pairwise_switch_rate(state, payoffs, 0) == 0.0
-
-    def test_uniform_payoffs(self):
-        state = SimplexState(0.2, 0.3, 0.5)
-        payoffs = PayoffProfile(0.7, 0.7, 0.7, 0.7)
-        for i in range(3):
-            assert pairwise_switch_rate(state, payoffs, i) == 0.0
-
-    def test_exhaustive_pair_enumeration(self):
-        # oracle: sum signed flows over every ordered (focal, role) pair,
-        # the focal adopting the role's strategy at rate (P_role - P_focal)+
-        state = SimplexState(1 / 3, 1 / 3, 1 / 3)
-        payoffs = PayoffProfile(1.0, 0.0, 0.0, 1 / 3)
-        p = (payoffs.P_c, payoffs.P_d, payoffs.P_l)
-        x = state.as_tuple()
-        for i in range(3):
-            inflow = sum(x[f] * x[i] * max(p[i] - p[f], 0.0) for f in range(3))
-            outflow = sum(x[i] * x[r] * max(p[r] - p[i], 0.0) for r in range(3))
-            assert pairwise_switch_rate(state, payoffs, i) == pytest.approx(
-                inflow - outflow, abs=1e-15
-            )
-        assert pairwise_switch_rate(state, payoffs, 0) == pytest.approx(2 / 9, abs=1e-15)
-
-    def test_matches_selection_flow(self):
-        # against the expected payoffs this is the growth law of the
-        # deterministic selection dynamics
-        params = PGGParams()
-        for v in random_simplex_states(100, seed=14):
-            state = SimplexState(*map(float, v))
-            prof = expected_profile(state, params)
-            p = (prof.P_c, prof.P_d, prof.P_l)
-            for i in range(3):
-                expected = state.as_tuple()[i] * (p[i] - prof.P_bar)
-                assert pairwise_switch_rate(state, prof, i) == pytest.approx(
-                    expected, abs=1e-14
-                )
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError, match="index"):
-            pairwise_switch_rate(SimplexState(1, 0, 0), PayoffProfile(0, 0, 0, 0), 3)
 
 
 class TestGillespieSelect:
@@ -136,33 +86,13 @@ class TestGillespieSelect:
             assert abs(freq - share) <= 3 * sigma
 
 
-class TestCombinations:
-    def test_empty_selection(self):
-        for n in (0, 1, 7, 62):
-            assert combinations(n, 0) == 1
-
-    def test_small_value(self):
-        assert combinations(5, 2) == 10
-
-    def test_symmetry_and_pascal(self):
-        for n in range(0, 63):
-            for r in range(n + 1):
-                value = combinations(n, r)
-                assert value == combinations(n, n - r)
-                assert value == math.comb(n, r)
-                if 0 < r <= n - 1:
-                    assert value == combinations(n - 1, r - 1) + combinations(n - 1, r)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="exceed"):
-            combinations(4, 5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            combinations(-1, 0)
+def final_counts(traj, m: int) -> tuple[int, ...]:
+    return tuple(round(f * m) for f in traj.frequencies[-1])
 
 
 class TestPopulation:
     def test_from_counts_and_back(self):
-        pop = Population.from_counts(3, 4, 5)
+        pop = Population(3, 4, 5)
         assert pop.size == 12
         assert pop.counts() == (3, 4, 5)
 
@@ -174,112 +104,56 @@ class TestPopulation:
         with pytest.raises(ValueError, match="sum to 1"):
             Population.from_fractions(10, 0.5, 0.4, 0.4)
 
-    def test_member_type_checked(self):
-        with pytest.raises(ValueError, match="Strategy"):
-            Population(members=(0, 1, 2))
-
 
 class TestPlayRound:
+    """The round each imitation event plays, seen through run_abm's mean-payoff column."""
+
     def test_all_loner_population(self):
         params = PGGParams(M=20, N=5)
-        pop = Population.from_counts(0, 0, 20)
-        rng = np.random.default_rng(0)
-        assert (play_round(pop, params, rng) == 0.0).all()
+        lp = LearningParams(beta=1.0, pr=1.0, pe=0.0)
+        traj = run_abm(Population(0, 0, 20), params, lp, 3, seed=0)
+        assert (traj.mean_payoffs == 0.0).all()
+        assert final_counts(traj, 20) == (0, 0, 20)
 
     def test_all_cooperator_population(self):
-        params = PGGParams(M=20, N=5, c=1, r=3, g=0.5)
-        pop = Population.from_counts(20, 0, 0)
-        rng = np.random.default_rng(0)
-        deltas = play_round(pop, params, rng, charge_participation=False)
-        sampled = deltas[deltas != 0.0]
-        assert len(sampled) == 5
-        assert (sampled == 2.0).all()
-        charged = play_round(pop, params, rng, charge_participation=True)
-        assert (charged[charged != 0.0] == 1.5).all()
-
-    def test_strict_participation_voids_one_sided_rounds(self):
-        params = PGGParams(M=10, N=5)
-        pop = Population.from_counts(10, 0, 0)
-        rng = np.random.default_rng(0)
-        assert (play_round(pop, params, rng, strict_participation=True) == 0.0).all()
+        lp = LearningParams(beta=1.0, pr=1.0, pe=0.0)
+        for g, payoff in ((0.0, 2.0), (0.5, 1.5)):
+            params = PGGParams(M=20, N=5, c=1, r=3, g=g)
+            traj = run_abm(Population(20, 0, 0), params, lp, 3, seed=0)
+            assert (traj.mean_payoffs[1:] == payoff).all()
 
     def test_population_size_checked(self):
         with pytest.raises(ValueError, match="params.M"):
-            play_round(Population.from_counts(2, 2, 2), PGGParams(M=10, N=5),
-                       np.random.default_rng(0))
-
-    @staticmethod
-    def _observed_payoff_gap(n_c, n_d, n_l, rounds, seed):
-        """Mean sampled-defector minus sampled-cooperator payoff, with a
-        block-bootstrap standard error."""
-        m = n_c + n_d + n_l
-        params = PGGParams(M=m, N=5, c=1, r=3, g=0.5)
-        pop = Population.from_counts(n_c, n_d, n_l)
-        members = np.array([int(s) for s in pop.members])
-        is_c, is_d = members == 0, members == 1
-        rng = np.random.default_rng(seed)
-        blocks, per_block = 100, rounds // 100
-        diffs = []
-        for _ in range(blocks):
-            c_sum = d_sum = 0.0
-            for _ in range(per_block):
-                deltas = play_round(pop, params, rng)
-                c_sum += deltas[is_c].sum()
-                d_sum += deltas[is_d].sum()
-            mean_c = c_sum / (per_block * params.N * (n_c / m))
-            mean_d = d_sum / (per_block * params.N * (n_d / m))
-            diffs.append(mean_d - mean_c)
-        diffs = np.array(diffs)
-        return diffs.mean(), diffs.std(ddof=1) / math.sqrt(blocks)
-
-    def test_monte_carlo_difference_identity(self):
-        # in a large population the sampled defector-vs-cooperator payoff gap
-        # approaches c*(1 - z**(N-1)) with z the loner fraction
-        gap, stderr = self._observed_payoff_gap(600, 600, 800, rounds=100_000, seed=12)
-        target = 1.0 * (1 - 0.4 ** 4)
-        assert abs(gap - target) <= 3 * stderr
-
-    def test_finite_population_difference_oracle(self):
-        # exact small-M oracle: excluding the focal from the participant pool
-        # shifts the gap to (c + r*c/(pool-1)) * P(at least one coplayer plays)
-        n_c, n_d, n_l = 30, 30, 40
-        gap, stderr = self._observed_payoff_gap(n_c, n_d, n_l, rounds=100_000, seed=12)
-        p_play = 1 - math.comb(n_l, 4) / math.comb(99, 4)
-        exact = p_play * (1.0 + 3.0 / (n_c + n_d - 1))
-        assert abs(gap - exact) <= 3 * stderr
+            run_abm(Population(2, 2, 2), PGGParams(M=10, N=5), LearningParams(), 1, seed=0)
 
 
 class TestStepGeneration:
+    """One generation of M update events, run as run_abm(pop, params, lp, 1, seed)."""
+
     def test_no_update_channels(self):
         params = PGGParams(M=30, N=5)
         lp = LearningParams(beta=1.0, pr=0.0, pe=0.0)
-        pop = Population.from_counts(10, 10, 10)
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            pop = step_generation(pop, params, lp, rng)
-            assert pop.counts() == (10, 10, 10)
+        for seed in range(5):
+            traj = run_abm(Population(10, 10, 10), params, lp, 1, seed=seed)
+            assert final_counts(traj, 30) == (10, 10, 10)
 
     def test_population_size_conserved(self):
         params = PGGParams(M=60, N=5)
         lp = LearningParams(beta=1.0, pr=1.0, pe=0.05)
-        pop = Population.from_counts(20, 20, 20)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            pop = step_generation(pop, params, lp, rng)
-            assert pop.size == 60
-            assert sum(pop.counts()) == 60
+        for seed in range(20):
+            traj = run_abm(Population(20, 20, 20), params, lp, 1, seed=seed)
+            counts = traj.frequencies[-1] * 60
+            assert np.abs(counts - np.round(counts)).max() <= 1e-9
+            assert sum(final_counts(traj, 60)) == 60
 
     def test_pure_exploration_uniformizes(self):
         # exploration-only updates walk the counts to 1/3 each; after 200
         # generations every count sits within 3 sd of M/3 (sd = sqrt(M*2/9))
         params = PGGParams(M=99, N=5)
         lp = LearningParams(beta=1.0, pr=0.0, pe=1.0)
-        pop = Population.from_counts(99, 0, 0)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            pop = step_generation(pop, params, lp, rng)
+        traj = run_abm(Population(99, 0, 0), params, lp, 200, seed=3)
         band = 3 * math.sqrt(99 * (1 / 3) * (2 / 3))
-        assert all(abs(count - 33) <= band for count in pop.counts())
+        assert all(abs(count - 33) <= band for count in final_counts(traj, 99))
 
     def test_exploration_matches_mutation_flow_to_first_order(self):
         # one generation of exploration-only updates changes the expected
@@ -293,20 +167,116 @@ class TestStepGeneration:
             params.M * (mu * (1 - n / params.M) - 2 * mu * n / params.M)
             for n in start
         ])
-        rng = np.random.default_rng(4)
         trials = 8000
         deltas = np.empty((trials, 3))
         for t in range(trials):
-            pop = step_generation(Population.from_counts(*start), params, lp, rng)
-            deltas[t] = np.array(pop.counts()) - np.array(start)
+            traj = run_abm(Population(*start), params, lp, 1, seed=t)
+            deltas[t] = np.array(final_counts(traj, params.M)) - np.array(start)
         stderr = deltas.std(axis=0, ddof=1) / math.sqrt(trials)
         assert (np.abs(deltas.mean(axis=0) - predicted) <= 3 * stderr).all()
+
+
+def one_event_law(params: PGGParams, lp: LearningParams):
+    """Exact transition matrix of one update event on the states (n_c, n_d).
+
+    Exploration moves a uniform focal to one of its two other strategies; a
+    skip leaves the state alone; imitation picks a focal, a distinct role and
+    a multivariate-hypergeometric rest of the group, and the focal adopts
+    with fermi_probability of the round's realized_payoffs.
+    """
+    m, n = params.M, params.N
+    states = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    index = {state: i for i, state in enumerate(states)}
+    law = np.zeros((len(states), len(states)))
+    groups = math.comb(m - 2, n - 2)
+    for (a, b), i in index.items():
+        counts = (a, b, m - a - b)
+
+        def move(focal, target, p):
+            nxt = list(counts)
+            nxt[focal] -= 1
+            nxt[target] += 1
+            law[i, index[(nxt[0], nxt[1])]] += p
+
+        law[i, i] += (1 - lp.pe) * (1 - lp.pr)
+        for focal in range(3):
+            p_focal = counts[focal] / m
+            if p_focal == 0:
+                continue
+            for target in range(3):
+                if target != focal:
+                    move(focal, target, lp.pe * p_focal / 2)
+            for role in range(3):
+                rest = list(counts)
+                rest[focal] -= 1
+                p_pair = (1 - lp.pe) * lp.pr * p_focal * rest[role] / (m - 1)
+                if p_pair == 0:
+                    continue
+                rest[role] -= 1
+                for kc in range(n - 1):
+                    for kd in range(n - 1 - kc):
+                        ways = (math.comb(rest[0], kc) * math.comb(rest[1], kd)
+                                * math.comb(rest[2], n - 2 - kc - kd))
+                        p = p_pair * ways / groups
+                        if p == 0 or role == focal:
+                            law[i, i] += p
+                            continue
+                        jc = kc + (focal == 0) + (role == 0)
+                        jd = kd + (focal == 1) + (role == 1)
+                        pi = (*realized_payoffs(jc, jd, params), 0.0)
+                        adopt = fermi_probability(pi[focal], pi[role], lp.beta)
+                        move(focal, role, p * adopt)
+                        law[i, i] += p * (1 - adopt)
+    return states, index, law
+
+
+def chi2_survival(x: float, df: int) -> float:
+    """P(X >= x) for a chi-square variable, from the series of the lower incomplete gamma."""
+    a, h = df / 2, x / 2
+    term = total = 1.0 / a
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= h / (a + k)
+        total += term
+    return 1.0 - total * math.exp(a * math.log(h) - h - math.lgamma(a))
+
+
+class TestExactOneGenerationLaw:
+    def test_chi2_survival_reference_values(self):
+        # closed form for two degrees of freedom, and the median of one
+        assert chi2_survival(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-12)
+        assert chi2_survival(0.454936423119572, 1) == pytest.approx(0.5, rel=1e-9)
+
+    def test_law_rows_are_distributions(self):
+        _, _, law = one_event_law(PGGParams(M=6, N=3, r=2.5), LearningParams(2.0, 0.7, 0.2))
+        assert (law >= 0).all()
+        assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_one_generation_matches_exact_law(self):
+        # M events from (2, 2, 2), against 20,000 independent seeds
+        params = PGGParams(M=6, N=3, r=2.5)
+        lp = LearningParams(beta=2.0, pr=0.7, pe=0.2)
+        states, index, law = one_event_law(params, lp)
+        expected = np.linalg.matrix_power(law, params.M)[index[(2, 2)]]
+        runs = 20_000
+        observed = np.zeros(len(states))
+        for seed in range(runs):
+            n_c, n_d, _ = final_counts(run_abm(Population(2, 2, 2), params, lp, 1, seed), 6)
+            observed[index[(n_c, n_d)]] += 1
+        expected *= runs
+        # all 28 states are reachable; the rarest expects about 4.5 counts,
+        # few enough small bins for the chi-square approximation
+        assert expected.min() > 4
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        p_value = chi2_survival(chi2, len(states) - 1)
+        assert p_value > 1e-3, f"chi2={chi2:.1f} over {len(states)} bins, p={p_value:.2g}"
 
 
 class TestRunAbm:
     def test_zero_generations(self):
         params = PGGParams(M=30, N=5)
-        traj = run_abm(Population.from_counts(10, 10, 10), params,
+        traj = run_abm(Population(10, 10, 10), params,
                        LearningParams(), 0, seed=0)
         assert len(traj) == 1
         assert traj.frequencies[0].tolist() == [1 / 3, 1 / 3, 1 / 3]
@@ -315,7 +285,7 @@ class TestRunAbm:
     def test_seed_determinism(self):
         params = PGGParams(M=50, N=5)
         lp = LearningParams(beta=1.0, pr=1.0, pe=0.01)
-        pop = Population.from_counts(20, 15, 15)
+        pop = Population(20, 15, 15)
         a = run_abm(pop, params, lp, 300, seed=7)
         b = run_abm(pop, params, lp, 300, seed=7)
         assert np.array_equal(a.frequencies, b.frequencies)
@@ -325,17 +295,9 @@ class TestRunAbm:
 
     def test_rows_sum_to_one(self):
         params = PGGParams(M=40, N=5)
-        traj = run_abm(Population.from_counts(20, 10, 10), params,
+        traj = run_abm(Population(20, 10, 10), params,
                        LearningParams(), 200, seed=5)
         assert np.abs(traj.frequencies.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_expected_payoff_comparison_flag_runs(self):
-        params = PGGParams(M=40, N=5)
-        pop = Population.from_counts(20, 10, 10)
-        lp = LearningParams(beta=1.0, pr=1.0, pe=0.01)
-        realized = run_abm(pop, params, lp, 100, seed=6)
-        expected = run_abm(pop, params, lp, 100, seed=6, expected_payoff_comparison=True)
-        assert not np.array_equal(realized.frequencies, expected.frequencies)
 
     def test_sustained_oscillation_across_seeds(self, abm_default_runs):
         # the default run flickers through momentary absorptions but keeps
@@ -360,9 +322,3 @@ class TestLearningParams:
             LearningParams(pe=-0.2)
         with pytest.raises(ValueError, match="beta"):
             LearningParams(beta=-1.0)
-        with pytest.raises(ValueError, match="sigma_inc"):
-            LearningParams(sigma_inc=-0.5)
-
-    def test_increment_fields_stored(self):
-        lp = LearningParams(mu_inc=0.4, sigma_inc=0.2)
-        assert (lp.mu_inc, lp.sigma_inc) == (0.4, 0.2)

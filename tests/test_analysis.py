@@ -53,7 +53,7 @@ class TestStats:
 
     def test_abm_fixation_requires_exact_count(self):
         params = PGGParams(M=20, N=5)
-        traj = run_abm(Population.from_counts(20, 0, 0), params,
+        traj = run_abm(Population(20, 0, 0), params,
                        LearningParams(pr=0.0, pe=0.0), 10, seed=0)
         assert stats(traj).fixated == 0
 

@@ -118,6 +118,34 @@ class TestSweepCommand:
         assert sha256(a) == sha256(b)
 
 
+class TestGoldenOutputs:
+    """Output digests recorded before the ABM loop became table-driven.
+
+    A rerun-equality check cannot see a change in the random stream or the
+    number formatting; these can. A change that alters a stream on purpose
+    updates the digest and says so.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["abm", "--seed", "3", "--set", "t=300", "--set", "M=50"],
+         "b7edf78559f2e70b10977d16d3379962245c68a11476bb784acad3105b0dac6f"),
+        (["abm", "--seed", "5", "--set", "M=20", "--set", "N=4", "--set", "r=2",
+          "--set", "g=0", "--set", "beta=5", "--set", "pe=0.2", "--set", "pr=0.5",
+          "--set", "t=2000"],
+         "380e40bb3e5df068d36556991413df5b26dcd6d0babca067bfff42b7bd6ffd63"),
+        (["ode", "--set", "steps=300"],
+         "89d7a7995c7f1276bd6a8a8f67689bc3f746837ec6e9edf744a1ecad94ae84fc"),
+        (["sweep", "--set", "steps=100", "--grid", "g=0.5,3.0"],
+         "79f07dcb3118cf23488adb54aef727df9f4a23b947fb46280dd25a35a75e6d29"),
+        (["graph", "--seed", "11", "--set", "n=40", "--set", "p=0.2"],
+         "db4cb6f8e00899d4da26cbb40e1ce61e4d3c600a9e5d0d206ae58332f43329a5"),
+    ], ids=["abm", "abm-explore", "ode", "sweep", "graph"])
+    def test_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sha256(out) == digest
+
+
 class TestEquilibriumCommand:
     def test_worked_example_output(self, capsys):
         assert main(["equilibrium", "--a", "2", "--b", "1", "--c", "0"]) == 0
@@ -137,6 +165,16 @@ class TestErrorPaths:
         cfg.write_text("u = 7\n")
         assert main(["ode", "--config", str(cfg)]) == 2
         assert "u must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--set", "dt=5", "--set", "steps=50"],
+        ["sweep", "--set", "steps=50", "--grid", "dt=0.01,5"],
+    ], ids=["ode", "sweep"])
+    def test_integration_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "error: state left the simplex at step 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "file.csv"

@@ -10,7 +10,7 @@ class TestDefaults:
         empty = tmp_path / "empty.cfg"
         empty.write_text("# nothing but a comment\n\n")
         cfg = load_config(empty)
-        assert (cfg.M, cfg.N, cfg.tt, cfg.t) == (100, 5, 1, 10000)
+        assert (cfg.M, cfg.N, cfg.t) == (100, 5, 10000)
         assert (cfg.g, cfg.c, cfg.r, cfg.u) == (0.5, 1.0, 3.0, 1e-10)
         assert (cfg.n, cfg.beta) == (100, 1.0)
         assert cfg == RunConfig()
@@ -42,6 +42,14 @@ class TestFileParsing:
         path = tmp_path / "run.cfg"
         path.write_text("frobnicate = 3\nr = 2.0\nwibble = x\n")
         with pytest.raises(ConfigError, match="frobnicate.*wibble"):
+            load_config(path)
+
+    def test_retired_keys_are_unknown(self, tmp_path):
+        # tt (rounds per event, always 1) and the unused normal-increment
+        # parameters mu/sigma are no longer config keys
+        path = tmp_path / "run.cfg"
+        path.write_text("tt = 1\nmu = 0.0\nsigma = 0.0\n")
+        with pytest.raises(ConfigError, match="tt.*mu.*sigma"):
             load_config(path)
 
     def test_missing_equals_reports_line(self, tmp_path):
@@ -120,7 +128,8 @@ class TestDerivedObjects:
             load_config(None, {"mode": "sideways"})
 
     def test_rounds_per_generation_pinned(self):
-        with pytest.raises(ConfigError, match="tt"):
+        # every update event plays exactly one round; there is no key to change that
+        with pytest.raises(ConfigError, match="unknown config key: tt"):
             load_config(None, {"tt": "2"})
 
     def test_initial_population_matches_fractions(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pggsim.network import (
-    DensityConvention,
     Graph,
     GraphParams,
     degree_sum,
@@ -83,21 +82,10 @@ class TestIsConnected:
 class TestDensityFactor:
     def test_complete_graph_standard(self):
         g = generate_er(GraphParams(n=5, p=1.0, seed=0))
-        assert density_factor(g, DensityConvention.STANDARD) == 1.0
+        assert density_factor(g) == 1.0
 
-    def test_complete_graph_tie_ratio(self):
-        # t = 2|E| = 20, actual = 2t/n = 8, potential = 10
-        g = generate_er(GraphParams(n=5, p=1.0, seed=0))
-        assert density_factor(g, DensityConvention.TIE_RATIO) == 0.8
-
-    def test_empty_graph_both_conventions(self):
-        g = Graph.from_edges(6, [])
-        assert density_factor(g, DensityConvention.STANDARD) == 0.0
-        assert density_factor(g, DensityConvention.TIE_RATIO) == 0.0
-
-    def test_tie_ratio_clips_with_warning(self):
-        with pytest.warns(UserWarning, match="clipping"):
-            assert density_factor(TRIANGLE, DensityConvention.TIE_RATIO) == 1.0
+    def test_empty_graph(self):
+        assert density_factor(Graph.from_edges(6, [])) == 0.0
 
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError, match="two nodes"):

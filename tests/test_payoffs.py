@@ -6,13 +6,11 @@ import pytest
 from pggsim.errors import NoGameError
 from pggsim.payoffs import (
     PGGParams,
-    SampleComposition,
     SimplexState,
     average_payoff,
     expected_defector_payoff,
     expected_profile,
     realized_payoffs,
-    sample_payoffs,
 )
 
 from conftest import random_simplex_states
@@ -29,60 +27,16 @@ def enumerate_expected(strategy: str, state: SimplexState, params: PGGParams) ->
             jl = n1 - jc - jd
             weight = math.comb(n1, jc) * math.comb(n1 - jc, jd) * x**jc * y**jd * z**jl
             if strategy == "defector":
-                total += weight * realized_payoffs(jc, jd + 1, params, True)[1]
+                total += weight * realized_payoffs(jc, jd + 1, params)[1]
             else:
-                total += weight * realized_payoffs(jc + 1, jd, params, True)[0]
+                total += weight * realized_payoffs(jc + 1, jd, params)[0]
     return total
-
-
-class TestSamplePayoffs:
-    def test_displayed_formula(self):
-        params = PGGParams(c=1, r=3, N=5)
-        p_c, p_d = sample_payoffs(SampleComposition(3, 1, 1), params)
-        assert p_c == pytest.approx(0.8, abs=1e-15)
-        assert p_d == pytest.approx(1.8, abs=1e-15)
-
-    def test_empty_pool(self):
-        params = PGGParams(c=1, r=3, N=5)
-        assert sample_payoffs(SampleComposition(0, 2, 3), params) == (-1.0, 0.0)
-
-    def test_difference_is_cost(self):
-        # algebraically P_d - P_c = c; floating point leaves at most an ulp
-        rng = np.random.default_rng(5)
-        params = PGGParams(c=1.7, r=2.5, N=6)
-        for _ in range(300):
-            n_c = int(rng.integers(0, 7))
-            n_d = int(rng.integers(0, 7 - n_c))
-            comp = SampleComposition(n_c, n_d, 6 - n_c - n_d)
-            if comp.participants == 0:
-                continue
-            p_c, p_d = sample_payoffs(comp, params)
-            assert p_d - p_c == pytest.approx(params.c, rel=1e-15)
-        # exact at the displayed example's dyadic-friendly constants
-        unit = PGGParams(c=1, r=3, N=5)
-        p_c, p_d = sample_payoffs(SampleComposition(3, 1, 1), unit)
-        assert p_d - p_c == 1.0
-
-    def test_all_loner_sample_is_no_game(self):
-        with pytest.raises(NoGameError):
-            sample_payoffs(SampleComposition(0, 0, 5), PGGParams())
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="params.N"):
-            sample_payoffs(SampleComposition(2, 1, 1), PGGParams(N=5))
-
-    def test_participation_cost_flag(self):
-        params = PGGParams(c=1, r=3, N=5, g=0.5)
-        free = sample_payoffs(SampleComposition(3, 1, 1), params)
-        charged = sample_payoffs(SampleComposition(3, 1, 1), params, charge_participation=True)
-        assert charged == (free[0] - 0.5, free[1] - 0.5)
 
 
 class TestRealizedPayoffs:
     def test_all_cooperator_round(self):
-        params = PGGParams(c=1, r=3, N=5, g=0.5)
-        assert realized_payoffs(5, 0, params, False)[0] == 2.0
-        assert realized_payoffs(5, 0, params, True)[0] == 1.5
+        assert realized_payoffs(5, 0, PGGParams(c=1, r=3, N=5, g=0.0))[0] == 2.0
+        assert realized_payoffs(5, 0, PGGParams(c=1, r=3, N=5, g=0.5))[0] == 1.5
 
     def test_lone_participant_gets_stay_out_payoff(self):
         assert realized_payoffs(1, 0, PGGParams()) == (0.0, 0.0)
