@@ -9,7 +9,7 @@ from .agent_sim import (
     run_abm,
 )
 from .analysis import TrajectoryStats, stats, trajectory_distance
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .dynamics import (
     DynamicsKind,
     DynamicsMode,
@@ -28,21 +28,12 @@ from .game_core import (
     mixed_equilibrium_abc,
     outcome_distribution,
 )
-from .network import (
-    Graph,
-    GraphParams,
-    degree_sum,
-    density_factor,
-    edge_list_text,
-    generate_er,
-    is_connected,
-)
+from .network import Graph, GraphParams, edge_list_text, generate_er
 from .payoffs import (
     PayoffProfile,
     PGGParams,
     SimplexState,
     average_payoff,
-    expected_defector_payoff,
     expected_profile,
     realized_payoffs,
 )

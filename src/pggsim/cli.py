@@ -37,9 +37,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _out_path(cfg: RunConfig, default: str) -> Path:
@@ -50,11 +52,9 @@ def cmd_ode(cfg: RunConfig) -> int:
     traj = integrate(
         cfg.initial_state(), cfg.pgg_params(), cfg.dynamics_mode(), cfg.dt, cfg.steps
     )
-    lines = ["t,x,y,z"]
-    for t, (x, y, z) in zip(traj.times, traj.frequencies):
-        lines.append(f"{_fmt(float(t))},{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(z))}")
     out = _out_path(cfg, "ode.csv")
-    _write_lines(out, lines)
+    _write_csv(out, ("t", "x", "y", "z"),
+               zip(traj.times.tolist(), *traj.frequencies.T.tolist()))
     if cfg.plot:
         plot_simplex(traj, out.with_suffix(".svg"))
     return 0
@@ -64,13 +64,10 @@ def cmd_abm(cfg: RunConfig) -> int:
     traj = run_abm(
         cfg.initial_population(), cfg.pgg_params(), cfg.learning_params(), cfg.t, cfg.seed
     )
-    lines = ["gen,frac_c,frac_d,frac_l,mean_payoff"]
-    for gen, (fc, fd, fl), pay in zip(traj.generations, traj.frequencies, traj.mean_payoffs):
-        lines.append(
-            f"{int(gen)},{_fmt(float(fc))},{_fmt(float(fd))},{_fmt(float(fl))},{_fmt(float(pay))}"
-        )
     out = _out_path(cfg, "abm.csv")
-    _write_lines(out, lines)
+    _write_csv(out, ("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
+               zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
+                   traj.mean_payoffs.tolist()))
     if cfg.plot:
         plot_simplex(traj, out.with_suffix(".svg"))
     return 0
@@ -92,22 +89,24 @@ def cmd_sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> int:
         "mean_x", "mean_y", "mean_z", "amp_x", "amp_y", "amp_z",
         "osc_x", "osc_y", "osc_z", "fixated",
     )
-    lines = [",".join(_SWEEP_PARAM_COLUMNS + stat_cols)]
+    rows = []
     for combo in itertools.product(*(values for _, values in grid)):
         point = load_config(None, {**_base_overrides(cfg), **dict(zip(keys, combo))})
-        traj = integrate(
-            point.initial_state(), point.pgg_params(), point.dynamics_mode(),
-            point.dt, point.steps,
-        )
+        try:
+            traj = integrate(
+                point.initial_state(), point.pgg_params(), point.dynamics_mode(),
+                point.dt, point.steps,
+            )
+        except IntegrationError as exc:
+            where = ", ".join(f"{key}={value}" for key, value in zip(keys, combo))
+            raise IntegrationError(f"{exc} at sweep point {where}", exc.step) from exc
         st = analysis.stats(traj, window=_SWEEP_WINDOW)
-        row = [_fmt(getattr(point, col)) for col in _SWEEP_PARAM_COLUMNS]
-        row.extend(_fmt(v) for v in st.time_means)
-        row.extend(_fmt(v) for v in st.amplitude)
-        row.extend(str(v) for v in st.oscillation_counts)
-        row.append(str(st.fixated if st.fixated is not None else -1))
-        lines.append(",".join(row))
-    out = _out_path(cfg, "sweep.csv")
-    _write_lines(out, lines)
+        rows.append([
+            *(getattr(point, col) for col in _SWEEP_PARAM_COLUMNS),
+            *st.time_means, *st.amplitude, *st.oscillation_counts,
+            st.fixated if st.fixated is not None else -1,
+        ])
+    _write_csv(_out_path(cfg, "sweep.csv"), _SWEEP_PARAM_COLUMNS + stat_cols, rows)
     return 0
 
 

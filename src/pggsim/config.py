@@ -1,4 +1,4 @@
-"""Run configuration: flat key = value files, aliases, defaults, round-trip.
+"""Run configuration: flat key = value files, aliases, defaults.
 
 Keys follow the model's parameter tables: M, N, t, g, c, r, u for the game;
 s/w/beta, pr, pe for learning; n, p for the generated network; plus artifact
@@ -8,6 +8,7 @@ keys mode, density, dt, steps, x0/y0/z0, seed, out, plot.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,24 +88,24 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = {"M", "N", "t", "n", "steps", "seed"}
-_FLOAT_KEYS = {
-    "g", "c", "r", "u", "beta", "pr", "pe", "p", "density", "dt", "x0", "y0", "z0",
-}
-_BOOL_KEYS = {"plot"}
 
 
 def _parse_value(key: str, raw: str, line: int | None):
+    """Parse raw as the type of key's default; `out`'s None default parses as a string."""
     text = raw.strip()
+    kind = type(_FIELDS[key].default)
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             value = float(text)
             if not value.is_integer():
                 raise ValueError
             return int(value)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _BOOL_KEYS:
+        if kind is float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
+        if kind is bool:
             lowered = text.lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
@@ -112,8 +113,9 @@ def _parse_value(key: str, raw: str, line: int | None):
                 return False
             raise ValueError
     except ValueError:
-        raise ConfigError(f"invalid value for {key}: {raw!r}", line) from None
-    return text  # string keys: mode, out
+        where = f"line {line}: " if line is not None else ""
+        raise ConfigError(f"{where}invalid value for {key}: {raw!r}") from None
+    return text
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
@@ -132,14 +134,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}", lineno)
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
             raw_key, raw_value = line.split("=", 1)
             key = _ALIASES.get(raw_key.strip(), raw_key.strip())
             if key not in _FIELDS:
                 unknown.append(f"{raw_key.strip()} (line {lineno})")
                 continue
             if key in values:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}", lineno)
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             values[key] = _parse_value(key, raw_value, lineno)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(unknown))
@@ -159,17 +161,3 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    """Write every key back out so load_config reproduces the identical config."""
-    lines = []
-    for name in _FIELDS:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -48,10 +48,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def state(self, i: int) -> SimplexState:
-        x, y, z = self.frequencies[i]
-        return SimplexState(float(x), float(y), float(z))
-
 
 def _rhs(x: float, y: float, z: float, params: PGGParams, mu: float) -> tuple[float, float, float]:
     """Selection flow x_i*(P_i - P_bar) plus exploration mu*(1 - x_i) - 2*mu*x_i.
@@ -104,22 +100,17 @@ def integrate(
     mode: DynamicsMode,
     dt: float,
     steps: int,
-    floor: float | None = None,
 ) -> Trajectory:
     """Fixed-step classical RK4 trajectory of steps+1 samples including the start.
 
     After each step, components in [-1e-12, 0) are clamped to 0 and the state
     renormalized; anything more negative raises IntegrationError with the step
-    index. The optional floor lifts components below it (useful for very long
-    runs that hug the simplex boundary); it is off by default because it
-    changes the dynamics qualitatively.
+    index.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if floor is not None and not (0.0 < floor < 1e-3):
-        raise ValueError(f"floor must be in (0, 1e-3), got {floor}")
 
     mu = _effective_mu(params, mode)
     x, y, z = initial.as_tuple()
@@ -148,14 +139,6 @@ def integrate(
             x = max(x, 0.0)
             y = max(y, 0.0)
             z = max(z, 0.0)
-            total = x + y + z
-            x /= total
-            y /= total
-            z /= total
-        if floor is not None and (x < floor or y < floor or z < floor):
-            x = max(x, floor)
-            y = max(y, floor)
-            z = max(z, floor)
             total = x + y + z
             x /= total
             y /= total

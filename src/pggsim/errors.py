@@ -22,7 +22,3 @@ class IntegrationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for config-file parse failures or invalid parameter values."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line

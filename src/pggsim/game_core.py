@@ -67,11 +67,6 @@ class Matrix2x2:
         """Symmetric-role game ((b,a),(c,c);(c,c),(a,b)) parameterized by levels a, b, c."""
         return cls.from_pairs([[(b, a), (c, c)], [(c, c), (a, b)]])
 
-    @classmethod
-    def matching_pennies(cls) -> "Matrix2x2":
-        """Zero-sum coin game: (-1, 1) on matched picks, (1, -1) on mismatched."""
-        return cls.from_pairs([[(-1, 1), (1, -1)], [(1, -1), (-1, 1)]])
-
 
 def outcome_distribution(row: MixedStrategy2, col: MixedStrategy2) -> np.ndarray:
     """Probability of each of the four outcomes under independent mixing.

@@ -88,7 +88,7 @@ def realized_payoffs(n_c: int, n_d: int, params: PGGParams) -> tuple[float, floa
     Each cooperator's contribution c is multiplied by r and divided equally
     among the other S - 1 participants, so a member's benefit is
     r*c*(cooperating coplayers)/(S - 1). This is the division rule whose
-    composition average equals expected_defector_payoff exactly.
+    composition average equals expected_profile's P_d exactly.
 
     A lone participant (S == 1) finds no coplayer and gets the stay-out
     payoff 0. Entries for strategies absent from the round are returned as
@@ -119,19 +119,13 @@ def _expected_terms(x: float, z: float, n: int, c: float, r: float, g: float) ->
     return p_d - c * (1.0 - no_coplayer), p_d
 
 
-def expected_defector_payoff(state: SimplexState, params: PGGParams) -> float:
-    """Expected payoff of a defector whose N - 1 coplayers are drawn from the state.
-
-    (r*c*x/(1 - z) - g) * (1 - z**(N-1)): x/(1 - z) is the cooperator share
-    among participants and z**(N-1) the probability of finding no coplayer.
-    At z = 1 no game ever forms and the payoff is 0.
-    """
-    return _expected_terms(state.x, state.z, params.N, params.c, params.r, params.g)[1]
-
-
 def expected_profile(state: SimplexState, params: PGGParams) -> PayoffProfile:
     """Expected payoffs of all three strategies plus the population average.
 
+    P_d = (r*c*x/(1 - z) - g) * (1 - z**(N-1)) is the payoff of a defector
+    whose N - 1 coplayers are drawn from the state: x/(1 - z) is the
+    cooperator share among participants and z**(N-1) the probability of
+    finding no coplayer; at z = 1 no game ever forms and P_d = 0.
     P_c = P_d - c*(1 - z**(N-1)), P_l = 0, and P_bar = x*P_c + y*P_d, which
     coincides with average_payoff (the factored closed form) to rounding.
     """

@@ -166,6 +166,19 @@ class TestErrorPaths:
         assert main(["ode", "--config", str(cfg)]) == 2
         assert "u must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key, raw", [
+        (["ode", "--set", "g=nan", "--set", "steps=5"], "g", "nan"),
+        (["ode", "--set", "c=inf", "--set", "steps=5"], "c", "inf"),
+        (["ode", "--set", "dt=nan", "--set", "steps=5"], "dt", "nan"),
+        (["abm", "--set", "beta=nan", "--set", "t=3"], "beta", "nan"),
+        (["sweep", "--set", "steps=5", "--grid", "dt=0.01,inf"], "dt", "inf"),
+    ], ids=["g-nan", "c-inf", "dt-nan", "beta-nan", "sweep-dt-inf"])
+    def test_non_finite_value(self, tmp_path, capsys, argv, key, raw):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: invalid value for {key}: '{raw}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["ode", "--set", "dt=5", "--set", "steps=50"],
         ["sweep", "--set", "steps=50", "--grid", "dt=0.01,5"],
@@ -173,7 +186,9 @@ class TestErrorPaths:
     def test_integration_error(self, tmp_path, capsys, argv):
         out = tmp_path / "run.csv"
         assert main(argv + ["--out", str(out)]) == 3
-        assert "error: state left the simplex at step 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: state left the simplex at step 3" in err
+        assert ("at sweep point dt=5" in err) == (argv[0] == "sweep")
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from pggsim.config import RunConfig, load_config, save_config
+from pggsim.config import RunConfig, load_config
 from pggsim.dynamics import DynamicsKind
 from pggsim.errors import ConfigError
 
@@ -70,6 +70,19 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match="steps"):
             load_config(path)
 
+    def test_bad_value_reports_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("r = 2.0\ng = abc\n")
+        with pytest.raises(ConfigError, match="line 2: invalid value for g"):
+            load_config(path)
+
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("steps = 5000\ng = 1.25\nplot = on\nmode = network\nw = 0.5\n")
+        assert load_config(path) == RunConfig(
+            steps=5000, g=1.25, plot=True, mode="network", beta=0.5
+        )
+
     def test_selection_intensity_aliases(self, tmp_path):
         for alias in ("s", "w", "beta"):
             path = tmp_path / f"{alias}.cfg"
@@ -100,23 +113,6 @@ class TestOverrides:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             load_config(None, {"nope": "1"})
-
-
-class TestRoundTrip:
-    def test_save_then_load_is_identity(self, tmp_path):
-        cfg = load_config(None, {
-            "r": "2.2", "g": "1.25", "u": "1e-4", "mode": "network",
-            "density": "0.9", "seed": "99", "steps": "5000", "plot": "true",
-            "out": "somewhere.csv",
-        })
-        path = tmp_path / "saved.cfg"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
-
-    def test_defaults_round_trip(self, tmp_path):
-        path = tmp_path / "saved.cfg"
-        save_config(RunConfig(), path)
-        assert load_config(path) == RunConfig()
 
 
 class TestDerivedObjects:

@@ -161,12 +161,6 @@ class TestIntegrate:
             )
         assert info.value.step >= 1
 
-    def test_frequency_floor(self):
-        floored = integrate(START, PGGParams(), MUTATOR, 0.01, 50_000, floor=1e-6)
-        assert floored.frequencies.min() >= 1e-6 / 2
-        with pytest.raises(ValueError, match="floor"):
-            integrate(START, PGGParams(), MUTATOR, 0.01, 10, floor=0.5)
-
     def test_loner_dominance_when_participation_too_costly(self):
         # participation cost at (r-1)*c and above drives everyone out
         traj = integrate(START, PGGParams(g=3.0), MUTATOR, 0.01, 200_000)

@@ -44,9 +44,8 @@ class TestExpectedPayoffs:
         assert expected_payoffs(m, MixedStrategy2(0.3), MixedStrategy2(0.8)) == (0.0, 0.0)
 
     def test_matching_pennies_uniform(self):
-        u = expected_payoffs(
-            Matrix2x2.matching_pennies(), MixedStrategy2(0.5), MixedStrategy2(0.5)
-        )
+        pennies = Matrix2x2.from_pairs([[(-1, 1), (1, -1)], [(1, -1), (-1, 1)]])
+        u = expected_payoffs(pennies, MixedStrategy2(0.5), MixedStrategy2(0.5))
         assert u == (0.0, 0.0)
 
     def test_bilinear_in_matrix_scale(self):

@@ -8,7 +8,6 @@ from pggsim.payoffs import (
     PGGParams,
     SimplexState,
     average_payoff,
-    expected_defector_payoff,
     expected_profile,
     realized_payoffs,
 )
@@ -61,15 +60,15 @@ class TestRealizedPayoffs:
 class TestExpectedDefectorPayoff:
     def test_cooperator_vertex(self):
         params = PGGParams(c=1, r=3, g=0.5, N=5)
-        assert expected_defector_payoff(SimplexState(1, 0, 0), params) == 2.5
+        assert expected_profile(SimplexState(1, 0, 0), params).P_d == 2.5
 
     def test_all_loner(self):
-        assert expected_defector_payoff(SimplexState(0, 0, 1), PGGParams()) == 0.0
+        assert expected_profile(SimplexState(0, 0, 1), PGGParams()).P_d == 0.0
 
     def test_matches_enumeration_oracle(self):
         params = PGGParams(c=1, r=3, g=0.5, N=5)
         state = SimplexState(0.3, 0.3, 0.4)
-        value = expected_defector_payoff(state, params)
+        value = expected_profile(state, params).P_d
         assert value == pytest.approx(enumerate_expected("defector", state, params), abs=1e-12)
         # frozen from the oracle: (3*0.3/0.6 - 0.5) * (1 - 0.4**4)
         assert value == pytest.approx(0.9744, abs=1e-12)
@@ -78,7 +77,7 @@ class TestExpectedDefectorPayoff:
         params = PGGParams(c=1.3, r=2.2, g=0.7, N=4)
         for v in random_simplex_states(50, seed=8):
             state = SimplexState(*map(float, v))
-            assert expected_defector_payoff(state, params) == pytest.approx(
+            assert expected_profile(state, params).P_d == pytest.approx(
                 enumerate_expected("defector", state, params), abs=1e-12
             )
 
@@ -86,7 +85,7 @@ class TestExpectedDefectorPayoff:
         params = PGGParams()
         z = 0.4
         values = [
-            expected_defector_payoff(SimplexState(x, 1 - z - x, z), params)
+            expected_profile(SimplexState(x, 1 - z - x, z), params).P_d
             for x in np.linspace(0.0, 1 - z, 30)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -150,7 +149,7 @@ class TestExpectedProfile:
         s = jc + jd + 1
         pay = np.where(s >= 2, params.r * params.c * jc / np.maximum(s - 1, 1) - params.g, 0.0)
         err = pay.std(ddof=1) / math.sqrt(len(pay))
-        assert abs(pay.mean() - expected_defector_payoff(state, params)) <= 3 * err
+        assert abs(pay.mean() - expected_profile(state, params).P_d) <= 3 * err
 
 
 class TestParamValidation:
