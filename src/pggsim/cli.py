@@ -10,13 +10,14 @@ byte-identical for identical config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
 
 from . import analysis, game_core
 from .agent_sim import run_abm
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_entries, parse_grid
 from .dynamics import integrate
 from .errors import ConfigError, IntegrationError
 from .network import generate_er, edge_list_text
@@ -81,24 +82,36 @@ def cmd_graph(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> int:
+def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
+    """One stats row per point of the grid's product; `grid` is `config.parse_grid`'s result.
+
+    Grid keys may be aliases (`s`, `w`); a key given twice, a key with no
+    value, and a key that is no sweep column (`t`, `n`, `p`, `out`, `plot`:
+    its values would give identical rows) are config errors. A grid value wins
+    over the same key in `cfg`. Every point is built, and so validated, before
+    the first one is integrated.
+    """
     if not grid:
         raise ConfigError("sweep requires at least one --grid key=v1,v2,...")
-    keys = [key for key, _ in grid]
+    for key in grid:
+        if key not in _SWEEP_PARAM_COLUMNS:
+            raise ConfigError(f"--grid key {key!r} is not a sweep column: rows would not differ")
+    points = []
+    for combo in itertools.product(*grid.values()):
+        fields = {key: value for key, (_, value) in zip(grid, combo)}
+        points.append((", ".join(label for label, _ in combo), dataclasses.replace(cfg, **fields)))
     stat_cols = (
         "mean_x", "mean_y", "mean_z", "amp_x", "amp_y", "amp_z",
         "osc_x", "osc_y", "osc_z", "fixated",
     )
     rows = []
-    for combo in itertools.product(*(values for _, values in grid)):
-        point = load_config(None, {**_base_overrides(cfg), **dict(zip(keys, combo))})
+    for where, point in points:
         try:
             traj = integrate(
                 point.initial_state(), point.pgg_params(), point.dynamics_mode(),
                 point.dt, point.steps,
             )
         except IntegrationError as exc:
-            where = ", ".join(f"{key}={value}" for key, value in zip(keys, combo))
             raise IntegrationError(f"{exc} at sweep point {where}", exc.step) from exc
         st = analysis.stats(traj, window=_SWEEP_WINDOW)
         rows.append([
@@ -108,15 +121,6 @@ def cmd_sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> int:
         ])
     _write_csv(_out_path(cfg, "sweep.csv"), _SWEEP_PARAM_COLUMNS + stat_cols, rows)
     return 0
-
-
-def _base_overrides(cfg: RunConfig) -> dict:
-    skip = {"out", "plot"}
-    return {
-        name: getattr(cfg, name)
-        for name in cfg.__dataclass_fields__
-        if name not in skip and getattr(cfg, name) is not None
-    }
 
 
 def cmd_equilibrium(a: float, b: float, c: float) -> int:
@@ -129,16 +133,6 @@ def cmd_equilibrium(a: float, b: float, c: float) -> int:
     return 0
 
 
-def _parse_set(entries: list[str]) -> dict:
-    overrides: dict = {}
-    for entry in entries:
-        if "=" not in entry:
-            raise ConfigError(f"--set expects key=value, got {entry!r}")
-        key, value = entry.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pggsim",
@@ -149,13 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument("--plot", action="store_true", help="also write an SVG simplex plot")
+    # --seed, --out and --plot are spellings of --set entries
     common.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override any config key (repeatable)",
     )
+    common.add_argument("--seed", dest="set", action="append", type="seed={}".format,
+                        metavar="N", help="RNG seed override")
+    common.add_argument("--out", dest="set", action="append", type="out={}".format,
+                        metavar="PATH", help="output file path")
+    common.add_argument("--plot", dest="set", action="append_const", const="plot=true",
+                        help="also write an SVG simplex plot")
 
     sub.add_parser("ode", parents=[common], help="integrate the deterministic dynamics")
     sub.add_parser("abm", parents=[common], help="run the finite-population simulation")
@@ -180,14 +178,7 @@ def main(argv=None) -> int:
         if args.command == "equilibrium":
             return cmd_equilibrium(args.a, args.b, args.c)
 
-        overrides = _parse_set(args.set)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.plot:
-            overrides["plot"] = True
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, parse_entries(args.set))
 
         if args.command == "ode":
             return cmd_ode(cfg)
@@ -196,13 +187,7 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(cfg)
         if args.command == "sweep":
-            grid = []
-            for entry in args.grid:
-                if "=" not in entry:
-                    raise ConfigError(f"--grid expects key=v1,v2,..., got {entry!r}")
-                key, values = entry.split("=", 1)
-                grid.append((key.strip(), [v.strip() for v in values.split(",") if v.strip()]))
-            return cmd_sweep(cfg, grid)
+            return cmd_sweep(cfg, parse_grid(args.grid))
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Run configuration: flat key = value files, aliases, defaults.
+"""Run configuration: defaults, aliases, and the one parser of `key = value` text.
 
 Keys follow the model's parameter tables: M, N, t, g, c, r, u for the game;
 s/w/beta, pr, pe for learning; n, p for the generated network; plus artifact
@@ -52,11 +52,14 @@ class RunConfig:
 
     def __post_init__(self):
         # reuse the domain types' validation so errors name the field
-        self.pgg_params()
-        self.learning_params()
-        self.graph_params()
-        self.dynamics_mode()
-        self.initial_state()
+        try:
+            self.pgg_params()
+            self.learning_params()
+            self.graph_params()
+            self.dynamics_mode()
+            self.initial_state()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.t < 0:
             raise ConfigError(f"t (generations) must be nonnegative, got {self.t}")
         if self.dt <= 0:
@@ -90,21 +93,16 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str, line: int | None):
+def _parse_value(key: str, raw: str, prefix: str):
     """Parse raw as the type of key's default; `out`'s None default parses as a string."""
     text = raw.strip()
     kind = type(_FIELDS[key].default)
     try:
-        if kind is int:
+        if kind in (int, float):
             value = float(text)
-            if not value.is_integer():
+            if not math.isfinite(value) or kind is int and not value.is_integer():
                 raise ValueError
-            return int(value)
-        if kind is float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError
-            return value
+            return kind(value)
         if kind is bool:
             lowered = text.lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -113,51 +111,67 @@ def _parse_value(key: str, raw: str, line: int | None):
                 return False
             raise ValueError
     except ValueError:
-        where = f"line {line}: " if line is not None else ""
-        raise ConfigError(f"{where}invalid value for {key}: {raw!r}") from None
+        raise ConfigError(f"{prefix}invalid value for {key}: {raw!r}") from None
     return text
+
+
+def _fields(entries, parse) -> dict:
+    """Values by field name from config-file lines and `--set`/`--grid` entries.
+
+    Each entry is (`key = value` text, line), line None off a file; each value
+    goes through `parse`. Aliases resolve to their field, unknown keys are
+    reported together, and a key given twice, also through an alias, is an
+    error.
+    """
+    values: dict = {}
+    unknown: list[str] = []
+    for entry, line in entries:
+        prefix = f"line {line}: " if line else ""
+        raw_key, sep, text = entry.partition("=")
+        if not sep:
+            raise ConfigError(f"{prefix}expected key = value, got {entry!r}")
+        raw_key = raw_key.strip()
+        key = _ALIASES.get(raw_key, raw_key)
+        if key not in _FIELDS:
+            unknown.append(f"{raw_key} (line {line})" if line else raw_key)
+        elif key in values:
+            raise ConfigError(f"{prefix}duplicate key {key!r}")
+        else:
+            values[key] = parse(key, text, prefix)
+    if unknown:
+        raise ConfigError("unknown config key: " + ", ".join(unknown))
+    return values
+
+
+def parse_entries(entries: list[str]) -> dict[str, str]:
+    """Value text by field name from `key=value` command-line entries (`--set`, `--grid`)."""
+    return _fields(((entry, None) for entry in entries), lambda key, text, prefix: text)
+
+
+def parse_grid(entries: list[str]) -> dict[str, list[tuple[str, object]]]:
+    """("key=text", value) pairs by field name from `--grid key=v1,v2,...` entries."""
+    return {
+        key: [(f"{key}={item.strip()}", _parse_value(key, item, "")) for item in text.split(",")]
+        for key, text in parse_entries(entries).items()
+    }
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional file plus override flags.
 
     The file holds one `key = value` pair per line; `#` starts a comment.
-    Override values win over file values. Unknown keys and duplicate keys
-    are errors; so is any value violating a parameter invariant.
+    Override values are text, parsed like file lines, and win over them.
+    Unknown keys and duplicate keys are errors; so is any value violating a
+    parameter invariant.
     """
     values: dict = {}
     if path is not None:
-        lines = Path(path).read_text().splitlines()
-        unknown: list[str] = []
-        for lineno, raw_line in enumerate(lines, start=1):
+        entries = []
+        for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-            raw_key, raw_value = line.split("=", 1)
-            key = _ALIASES.get(raw_key.strip(), raw_key.strip())
-            if key not in _FIELDS:
-                unknown.append(f"{raw_key.strip()} (line {lineno})")
-                continue
-            if key in values:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = _parse_value(key, raw_value, lineno)
-        if unknown:
-            raise ConfigError("unknown config keys: " + ", ".join(unknown))
-
-    for raw_key, raw_value in (overrides or {}).items():
-        key = _ALIASES.get(raw_key, raw_key)
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key: {raw_key}")
-        values[key] = (
-            _parse_value(key, raw_value, None) if isinstance(raw_value, str) else raw_value
-        )
-
-    try:
-        return RunConfig(**values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+            if line:
+                entries.append((line, lineno))
+        values = _fields(entries, _parse_value)
+    pairs = ((f"{key}={text}", None) for key, text in (overrides or {}).items())
+    values.update(_fields(pairs, _parse_value))
+    return RunConfig(**values)

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import pggsim.cli
 from pggsim.cli import main
 from pggsim.dynamics import Trajectory
 from pggsim.network import GraphParams, generate_er
@@ -117,6 +118,14 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert sha256(a) == sha256(b)
 
+    def test_grid_wins_over_set_and_takes_aliases(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out), "--set", "steps=50", "--set", "r=2",
+                     "--grid", "s=0.5,2", "--grid", "r=2.5"]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        got = [(float(row[header.index("beta")]), float(row[header.index("r")])) for row in rows]
+        assert got == [(0.5, 2.5), (2.0, 2.5)]
+
 
 class TestGoldenOutputs:
     """Output digests recorded before the ABM loop became table-driven.
@@ -189,6 +198,45 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error: state left the simplex at step 3" in err
         assert ("at sweep point dt=5" in err) == (argv[0] == "sweep")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--grid", "r=2,2.5", "--grid", "r=3"], "duplicate key 'r'"),
+        (["sweep", "--grid", "s=1", "--grid", "beta=2"], "duplicate key 'beta'"),
+        (["sweep", "--grid", "r="], "invalid value for r: ''"),
+        (["sweep", "--grid", "mode="], "mode must be one of"),
+        (["ode", "--set", "r=2", "--set", "r=2.5"], "duplicate key 'r'"),
+        (["abm", "--seed", "3", "--set", "seed=4"], "duplicate key 'seed'"),
+    ], ids=["grid-repeat", "grid-alias-repeat", "grid-empty", "grid-empty-str",
+            "set-repeat", "seed-and-set-seed"])
+    def test_ambiguous_or_empty_keys(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--set", "steps=20", "--set", "t=5", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["t", "n", "p", "out", "plot"])
+    def test_grid_key_that_is_not_a_column(self, tmp_path, capsys, key):
+        out = tmp_path / "sweep.csv"
+        values = {"t": "10,20", "n": "10,20", "p": "0.1,0.2", "out": "a,b", "plot": "0,1"}
+        argv = ["sweep", "--set", "steps=20", "--grid", f"{key}={values[key]}"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"--grid key '{key}' is not a sweep column" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("g=0.5,1,abc", "invalid value for g: 'abc'"),
+        ("r=2,3,9", "r must satisfy 1 < r < N"),
+    ], ids=["bad-value", "broken-invariant"])
+    def test_sweep_validates_every_point_first(self, tmp_path, capsys, monkeypatch,
+                                               grid, message):
+        calls = []
+        real = pggsim.cli.integrate
+        monkeypatch.setattr(pggsim.cli, "integrate", lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--set", "steps=20", "--grid", grid, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):

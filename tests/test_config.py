@@ -105,7 +105,7 @@ class TestOverrides:
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("r = 1.8\nseed = 3\n")
-        cfg = load_config(path, {"r": "2.5", "plot": True})
+        cfg = load_config(path, {"r": "2.5", "plot": "true"})
         assert cfg.r == 2.5
         assert cfg.seed == 3
         assert cfg.plot is True
