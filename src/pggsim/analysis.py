@@ -48,6 +48,11 @@ def _mean_crossings(series: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
+def window_rows(n: int, window: float) -> int:
+    """How many trailing samples of an n-sample trajectory `stats` reads for `window`."""
+    return max(1, math.ceil(window * n))
+
+
 def stats(traj, window: float = 1.0) -> TrajectoryStats:
     """Summary statistics over the trailing `window` fraction of the trajectory.
 
@@ -61,7 +66,7 @@ def stats(traj, window: float = 1.0) -> TrajectoryStats:
     if freqs.size == 0:
         raise ValueError("trajectory is empty")
     n = len(freqs)
-    tail = freqs[n - max(1, math.ceil(window * n)):]
+    tail = freqs[n - window_rows(n, window):]
 
     means = tail.mean(axis=0)
     amplitude = tail.max(axis=0) - tail.min(axis=0)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoGameError
 
 # Below this participant mass the group has effectively no coplayers and no
@@ -117,6 +119,23 @@ def _expected_terms(x: float, z: float, n: int, c: float, r: float, g: float) ->
             coop_share = 1.0
         p_d = (r * c * coop_share - g) * (1.0 - no_coplayer)
     return p_d - c * (1.0 - no_coplayer), p_d
+
+
+def _expected_terms_many(x, z, exps, c, rc, g):
+    """Array twin of `_expected_terms`: the same operations per element, in the same order.
+
+    x, z, c, g are float arrays, `rc` holds r*c (the scalar form's first
+    product) and `exps` lists N - 1 per element. z**(N-1) goes through libm
+    `pow` element by element, as the scalar float power does, because numpy's
+    `**` can differ from it in the last ulp; the results are therefore bitwise
+    equal to the scalar form's. Where active < _PARTICIPANT_EPS the division
+    may divide by 0: the caller masks that warning, and np.where discards it.
+    """
+    some_coplayer = 1.0 - np.fromiter(map(pow, z.tolist(), exps), float, len(exps))
+    active = 1.0 - z
+    coop_share = np.minimum(x / active, 1.0)
+    p_d = np.where(active < _PARTICIPANT_EPS, 0.0, (rc * coop_share - g) * some_coplayer)
+    return p_d - c * some_coplayer, p_d
 
 
 def expected_profile(state: SimplexState, params: PGGParams) -> PayoffProfile:

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 import pggsim.cli
 from pggsim.cli import main
-from pggsim.dynamics import Trajectory
+from pggsim.config import RunConfig
+from pggsim.dynamics import Trajectory, integrate
+from pggsim.errors import IntegrationError
 from pggsim.network import GraphParams, generate_er
 from pggsim.plotting import plot_simplex
 
@@ -148,7 +151,13 @@ class TestGoldenOutputs:
          "79f07dcb3118cf23488adb54aef727df9f4a23b947fb46280dd25a35a75e6d29"),
         (["graph", "--seed", "11", "--set", "n=40", "--set", "p=0.2"],
          "db4cb6f8e00899d4da26cbb40e1ce61e4d3c600a9e5d0d206ae58332f43329a5"),
-    ], ids=["abm", "abm-explore", "ode", "sweep", "graph"])
+        # 48 points in one (dt, steps) group, recorded when every point still
+        # ran through the scalar integrate
+        (["sweep", "--set", "steps=200", "--set", "r=1.5", "--set", "density=0.5",
+          "--grid", "N=2,3,5,7", "--grid", "mode=replicator,mutator,network",
+          "--grid", "g=0.5,3", "--grid", "u=1e-10,1e-3"],
+         "e8207f21030f525da52c3191350f9b1134b7e9d0cc360bff2553eda61ebfca95"),
+    ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep"])
     def test_digest(self, tmp_path, argv, digest):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
@@ -227,16 +236,63 @@ class TestErrorPaths:
     @pytest.mark.parametrize("grid, message", [
         ("g=0.5,1,abc", "invalid value for g: 'abc'"),
         ("r=2,3,9", "r must satisfy 1 < r < N"),
-    ], ids=["bad-value", "broken-invariant"])
+        ("r=" + ",".join(f"{1.1 + 0.1 * i:.1f}" for i in range(32)) + ",9",
+         "r must satisfy 1 < r < N"),
+    ], ids=["bad-value", "broken-invariant", "broken-invariant-lockstep"])
     def test_sweep_validates_every_point_first(self, tmp_path, capsys, monkeypatch,
                                                grid, message):
         calls = []
-        real = pggsim.cli.integrate
-        monkeypatch.setattr(pggsim.cli, "integrate", lambda *a: calls.append(a) or real(*a))
+        for name in ("integrate", "integrate_lockstep"):
+            real = getattr(pggsim.cli, name)
+            monkeypatch.setattr(pggsim.cli, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--set", "steps=20", "--grid", grid, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    def test_grid_seed_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--set", "steps=20", "--grid", "seed=1,2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--grid key 'seed' is read by no sweep point" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, where, fields, scalar_calls", [
+        # 32 points at dt=2: r=1.5, g=3 leaves the simplex at step 2 with u=1e-10,
+        # and at step 1 with u=1e-2, the next point in grid order
+        (["--set", "dt=2", "--set", "steps=30", "--grid", "r=1.5,2.5,3.5,4.5",
+          "--grid", "g=0,0.5,1,3", "--grid", "u=1e-10,1e-2"],
+         "r=1.5, g=3, u=1e-10", dict(dt=2.0, steps=30, r=1.5, g=3.0, u=1e-10), 0),
+        # 32 points at dt=20: the first leaves the simplex at step 1, while libm
+        # pow overflows in a later one, so the group runs point by point
+        (["--set", "dt=20", "--set", "steps=20", "--set", "x0=0.3", "--set", "y0=0.3",
+          "--set", "z0=0.4", "--set", "r=2.5", "--grid", "N=3,7", "--grid", "g=0,0.5,1,3",
+          "--grid", "u=1e-10,1e-2", "--grid", "c=1,2"],
+         "N=3, g=0, u=1e-10, c=1",
+         dict(dt=20.0, steps=20, x0=0.3, y0=0.3, z0=0.4, r=2.5, N=3, g=0.0, u=1e-10), 32),
+    ], ids=["lockstep", "pow-overflow"])
+    def test_lockstep_group_error_is_the_scalar_one(self, tmp_path, capsys, monkeypatch,
+                                                    argv, where, fields, scalar_calls):
+        calls = {"integrate": 0, "integrate_lockstep": 0}
+        for name in calls:
+            def counted(*a, name=name, real=getattr(pggsim.cli, name)):
+                calls[name] += 1
+                return real(*a)
+            monkeypatch.setattr(pggsim.cli, name, counted)
+        point = RunConfig(**fields)
+        with pytest.raises(IntegrationError) as scalar:
+            integrate(point.initial_state(), point.pgg_params(), point.dynamics_mode(),
+                      point.dt, point.steps)
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {scalar.value} at sweep point {where}\n"
+        assert caught == []
+        assert calls == {"integrate": scalar_calls, "integrate_lockstep": 1}
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):

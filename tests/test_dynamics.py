@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import pggsim.dynamics
 from pggsim.dynamics import (
     DynamicsKind,
     DynamicsMode,
     integrate,
+    integrate_lockstep,
     mutator_rhs,
     network_scaled_rhs,
     replicator_rhs,
@@ -15,6 +19,7 @@ from pggsim.payoffs import PGGParams, SimplexState, expected_profile
 from conftest import MUTATOR, START, random_simplex_states
 
 REPLICATOR = DynamicsMode(DynamicsKind.REPLICATOR)
+NETWORK = DynamicsMode(DynamicsKind.NETWORK_SCALED_MUTATOR, density=0.5)
 
 
 def states(count, seed):
@@ -166,3 +171,64 @@ class TestIntegrate:
         traj = integrate(START, PGGParams(g=3.0), MUTATOR, 0.01, 200_000)
         tail = traj.frequencies[-20_000:, 2]
         assert tail.mean() >= 0.95
+
+
+class TestIntegrateLockstep:
+    """The lockstep kernel against the scalar `integrate`, sample for sample, bit for bit."""
+
+    # N from 2 to 7, all three modes, and the rare branches of the step
+    RUNS = [
+        (START, PGGParams(N=2, r=1.5), REPLICATOR),
+        (START, PGGParams(N=3, r=2.0, u=1e-3), MUTATOR),
+        (SimplexState(0.3, 0.3, 0.4), PGGParams(N=4, r=3.0, u=1e-2), NETWORK),
+        (START, PGGParams(), MUTATOR),
+        # z becomes about -6e-14 at step 2: clamped and renormalized
+        (SimplexState(0.8, 0.2, 1e-13), PGGParams(N=6, r=5.0, c=20.0, g=0.0), REPLICATOR),
+        # active = 1 - z is below 1e-12: no game takes place
+        (SimplexState(0.0, 0.0, 1.0), PGGParams(N=5), REPLICATOR),
+        (SimplexState(0.0, 0.0, 1.0), PGGParams(N=7, r=4.0, u=1e-12), NETWORK),
+        # 1 - 0.9 < 0.1 in floats, so x / (1 - z) exceeds 1 and is clamped to 1
+        (SimplexState(0.1, 0.0, 0.9), PGGParams(N=7, r=2.0), REPLICATOR),
+        (SimplexState(0.1, 0.0, 0.9), PGGParams(N=3, r=2.5, u=0.2), MUTATOR),
+    ]
+
+    @pytest.mark.parametrize("keep", [1, 5, 41])
+    def test_kept_samples_equal_scalar_integrate(self, monkeypatch, keep):
+        assert 1.0 - 0.9 < 0.1
+        clamped = []
+        real = pggsim.dynamics._clamp
+        monkeypatch.setattr(pggsim.dynamics, "_clamp", lambda *a: clamped.append(a) or real(*a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = integrate_lockstep(self.RUNS, 0.1, 40, keep)
+        assert caught == []
+        assert [step for step, *_ in clamped] == [2]
+        assert len(results) == len(self.RUNS)
+        for run, got in zip(self.RUNS, results):
+            want = integrate(*run, 0.1, 40)
+            assert np.array_equal(got.times, want.times[-keep:])
+            assert np.array_equal(got.frequencies, want.frequencies[-keep:])
+            assert got.frequencies.shape == (keep, 3) and got.frequencies.flags.c_contiguous
+
+    def test_failed_runs_give_the_scalar_error(self):
+        # at dt=2 the first two runs leave the simplex at steps 2 and 1
+        runs = [(START, PGGParams(r=1.5, g=3.0), MUTATOR),
+                (START, PGGParams(r=1.5, g=3.0, u=1e-2), MUTATOR),
+                (START, PGGParams(r=1.5, g=0.5), MUTATOR)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = integrate_lockstep(runs, 2.0, 30, 4)
+        assert caught == []
+        for run, got in zip(runs[:2], results):
+            with pytest.raises(IntegrationError) as want:
+                integrate(*run, 2.0, 30)
+            assert isinstance(got, IntegrationError)
+            assert (str(got), got.step) == (str(want.value), want.value.step)
+        assert [err.step for err in results[:2]] == [2, 1]
+        assert np.array_equal(results[2].frequencies, integrate(*runs[2], 2.0, 30).frequencies[-4:])
+
+    def test_rejects_bad_arguments(self):
+        for dt, steps, keep, match in [(0.0, 10, 1, "dt"), (0.1, 0, 1, "steps"),
+                                       (0.1, 10, 0, "keep"), (0.1, 10, 12, "keep")]:
+            with pytest.raises(ValueError, match=match):
+                integrate_lockstep(self.RUNS, dt, steps, keep)
