@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, game_core
 from .agent_sim import run_abm
-from .config import RunConfig, load_config, parse_entries, parse_grid
+from .config import RunConfig, load_config, parse_grid
 from .dynamics import Trajectory, integrate, integrate_lockstep
 from .errors import ConfigError, IntegrationError
 from .network import generate_er, edge_list_text
@@ -30,6 +30,9 @@ _SWEEP_PARAM_COLUMNS = (
     "M", "N", "c", "r", "g", "u", "beta", "pr", "pe", "mode", "density",
     "dt", "steps", "x0", "y0", "z0", "seed",
 )
+
+# the keys an ODE run reads; any other --grid key would give rows whose stats agree
+_SWEEP_KEYS = ("N", "c", "r", "g", "u", "mode", "density", "dt", "steps", "x0", "y0", "z0")
 
 # A sweep group of at least this many points sharing (dt, steps) is integrated
 # in lockstep. Measured on a 2-core AVX-512 host (Python 3.11, numpy 2.4) with
@@ -102,7 +105,7 @@ def _integrate_group(runs, dt: float, steps: int, keep: int) -> list:
     for run in runs:
         try:
             traj = integrate(*run, dt, steps)
-        except (IntegrationError, OverflowError) as exc:
+        except IntegrationError as exc:
             results.append(exc)
         else:
             results.append(Trajectory(traj.times[-keep:].copy(), traj.frequencies[-keep:].copy()))
@@ -112,11 +115,10 @@ def _integrate_group(runs, dt: float, steps: int, keep: int) -> list:
 def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
     """One stats row per point of the grid's product; `grid` is `config.parse_grid`'s result.
 
-    Grid keys may be aliases (`s`, `w`); a key given twice, a key with no
-    value, a key that is no sweep column (`t`, `n`, `p`, `out`, `plot`: its
-    values would give identical rows) and `seed` (no point reads it) are
-    config errors. A grid value wins over the same key in `cfg`. Every point
-    is built, and so validated, before the first one is integrated.
+    A key given twice, a key with no value and a key that no ODE run reads
+    (anything outside _SWEEP_KEYS) are config errors. A grid value wins over
+    the same key in `cfg`. Every point is built, and so validated, before the
+    first one is integrated.
 
     Points that share (dt, steps) form a group; a group of at least
     _LOCKSTEP_MIN_POINTS points is integrated in lockstep, a smaller one point
@@ -127,11 +129,9 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
     if not grid:
         raise ConfigError("sweep requires at least one --grid key=v1,v2,...")
     for key in grid:
-        if key not in _SWEEP_PARAM_COLUMNS:
-            raise ConfigError(f"--grid key {key!r} is not a sweep column: rows would not differ")
-        if key == "seed":
-            raise ConfigError("--grid key 'seed' is read by no sweep point: "
-                              "rows would differ only in the seed column")
+        if key not in _SWEEP_KEYS:
+            raise ConfigError(f"--grid key {key!r} is read by no sweep point; "
+                              f"sweepable keys: {', '.join(_SWEEP_KEYS)}")
     points = []
     for combo in itertools.product(*grid.values()):
         fields = {key: value for key, (_, value) in zip(grid, combo)}
@@ -148,16 +148,12 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
         for i, result in zip(members, _integrate_group(runs, dt, steps, keep)):
             results[i] = result
 
-    stat_cols = (
-        "mean_x", "mean_y", "mean_z", "amp_x", "amp_y", "amp_z",
-        "osc_x", "osc_y", "osc_z", "fixated",
-    )
+    stat_cols = ("mean_x", "mean_y", "mean_z", "amp_x", "amp_y", "amp_z",
+                 "osc_x", "osc_y", "osc_z", "fixated")
     rows = []
     for (where, point), result in zip(points, results):
         if isinstance(result, IntegrationError):
             raise IntegrationError(f"{result} at sweep point {where}", result.step) from result
-        if isinstance(result, OverflowError):
-            raise result
         st = analysis.stats(result)
         rows.append([
             *(getattr(point, col) for col in _SWEEP_PARAM_COLUMNS),
@@ -223,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "equilibrium":
             return cmd_equilibrium(args.a, args.b, args.c)
 
-        cfg = load_config(args.config, parse_entries(args.set))
+        cfg = load_config(args.config, args.set)
 
         if args.command == "ode":
             return cmd_ode(cfg)

@@ -143,35 +143,30 @@ def _fields(entries, parse) -> dict:
     return values
 
 
-def parse_entries(entries: list[str]) -> dict[str, str]:
-    """Value text by field name from `key=value` command-line entries (`--set`, `--grid`)."""
-    return _fields(((entry, None) for entry in entries), lambda key, text, prefix: text)
-
-
 def parse_grid(entries: list[str]) -> dict[str, list[tuple[str, object]]]:
     """("key=text", value) pairs by field name from `--grid key=v1,v2,...` entries."""
-    return {
-        key: [(f"{key}={item.strip()}", _parse_value(key, item, "")) for item in text.split(",")]
-        for key, text in parse_entries(entries).items()
-    }
+    def parse_items(key, text, prefix):
+        return [(f"{key}={item.strip()}", _parse_value(key, item, prefix))
+                for item in text.split(",")]
+
+    return _fields(((entry, None) for entry in entries), parse_items)
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus override flags.
+def load_config(path: str | Path | None = None, entries: list[str] = ()) -> RunConfig:
+    """Build a RunConfig from an optional file plus `key=value` command-line entries.
 
     The file holds one `key = value` pair per line; `#` starts a comment.
-    Override values are text, parsed like file lines, and win over them.
-    Unknown keys and duplicate keys are errors; so is any value violating a
-    parameter invariant.
+    Entries are parsed like file lines and win over them. Unknown keys and
+    duplicate keys are errors; so is any value violating a parameter
+    invariant.
     """
     values: dict = {}
     if path is not None:
-        entries = []
+        lines = []
         for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
             if line:
-                entries.append((line, lineno))
-        values = _fields(entries, _parse_value)
-    pairs = ((f"{key}={text}", None) for key, text in (overrides or {}).items())
-    values.update(_fields(pairs, _parse_value))
+                lines.append((line, lineno))
+        values = _fields(lines, _parse_value)
+    values.update(_fields(((entry, None) for entry in entries), _parse_value))
     return RunConfig(**values)

@@ -1,14 +1,15 @@
 """Deterministic dynamics on the 3-simplex of strategy frequencies.
 
 Three vector fields (pure selection, selection plus uniform exploration, and
-the exploration term rescaled by a network-density factor) and a fixed-step
-classical 4th-order integrator. The fixed step keeps trajectory files
-bit-for-bit reproducible across runs.
+the exploration term rescaled by a network-density factor), which differ only
+in the exploration rate `_effective_mu` picks, and a fixed-step classical
+4th-order integrator whose fixed step keeps trajectory files reproducible.
 
-`integrate` steps one run with Python floats. `integrate_lockstep` steps a
-group of runs that share (dt, steps) with numpy arrays, one element per run,
-keeping only each run's trailing samples; its samples are bitwise equal to
-`integrate`'s, and `integrate` is the reference its tests compare against.
+One flow (`_flow`) and one RK4 step (`_rk4`) serve floats and numpy arrays
+alike. `integrate` steps one run with Python floats; `integrate_lockstep`
+steps runs that share (dt, steps) as numpy arrays, one element per run,
+bitwise equal to `integrate`. In both a step fails when its state has a NaN
+component or one below -1e-12, or when one of its stages overflows.
 """
 
 from __future__ import annotations
@@ -54,41 +55,41 @@ class Trajectory:
         return len(self.times)
 
 
-def _rhs(x: float, y: float, z: float, params: PGGParams, mu: float) -> tuple[float, float, float]:
-    """Selection flow x_i*(P_i - P_bar) plus exploration mu*(1 - x_i) - 2*mu*x_i.
+def _flow(terms, mu):
+    """The flow (x, y, z) -> (dx, dy, dz) of `terms(x, z) -> (P_c, P_d)` and exploration rate mu.
 
-    P_bar is accumulated as x*P_c + y*P_d (loners pay 0) so the three
-    components cancel exactly and the flow stays tangent to the simplex.
+    Selection x_i*(P_i - P_bar) plus exploration mu*(1 - x_i) - 2*mu*x_i, on
+    floats or elementwise on numpy arrays. P_bar is accumulated as
+    x*P_c + y*P_d (loners pay 0) so the three components cancel exactly and
+    the flow stays tangent to the simplex.
     """
-    p_c, p_d = _expected_terms(x, z, params.N, params.c, params.r, params.g)
-    p_bar = x * p_c + y * p_d
-    dx = x * (p_c - p_bar) + mu * (1.0 - x) - 2.0 * mu * x
-    dy = y * (p_d - p_bar) + mu * (1.0 - y) - 2.0 * mu * y
-    dz = z * (0.0 - p_bar) + mu * (1.0 - z) - 2.0 * mu * z
-    return dx, dy, dz
+    two_mu = 2.0 * mu
+
+    def flow(x, y, z):
+        p_c, p_d = terms(x, z)
+        p_bar = x * p_c + y * p_d
+        return (x * (p_c - p_bar) + mu * (1.0 - x) - two_mu * x,
+                y * (p_d - p_bar) + mu * (1.0 - y) - two_mu * y,
+                z * (0.0 - p_bar) + mu * (1.0 - z) - two_mu * z)
+
+    return flow
 
 
-def replicator_rhs(state: SimplexState, params: PGGParams) -> tuple[float, float, float]:
-    """Pure selection: each frequency grows at its payoff advantage over the average."""
-    return _rhs(state.x, state.y, state.z, params, 0.0)
+def _rk4(flow, dt: float):
+    """One classical RK4 step of `flow` with step size dt, as a function of (x, y, z)."""
+    half = dt / 2.0
+    sixth = dt / 6.0
 
+    def step(x, y, z):
+        ax, ay, az = flow(x, y, z)
+        bx, by, bz = flow(x + half * ax, y + half * ay, z + half * az)
+        cx, cy, cz = flow(x + half * bx, y + half * by, z + half * bz)
+        ex, ey, ez = flow(x + dt * cx, y + dt * cy, z + dt * cz)
+        return (x + sixth * (ax + 2.0 * (bx + cx) + ex),
+                y + sixth * (ay + 2.0 * (by + cy) + ey),
+                z + sixth * (az + 2.0 * (bz + cz) + ez))
 
-def mutator_rhs(state: SimplexState, params: PGGParams) -> tuple[float, float, float]:
-    """Selection plus exploration at rate params.u toward the other two strategies."""
-    return _rhs(state.x, state.y, state.z, params, params.u)
-
-
-def network_scaled_rhs(
-    state: SimplexState, params: PGGParams, density: float
-) -> tuple[float, float, float]:
-    """Selection plus exploration with the exploration rate scaled by a network density in [0, 1].
-
-    density=1 reproduces mutator_rhs and density=0 reproduces replicator_rhs
-    exactly; only the product density*u enters the flow.
-    """
-    if not (0.0 <= density <= 1.0):
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    return _rhs(state.x, state.y, state.z, params, params.u * density)
+    return step
 
 
 def _effective_mu(params: PGGParams, mode: DynamicsMode) -> float:
@@ -99,84 +100,103 @@ def _effective_mu(params: PGGParams, mode: DynamicsMode) -> float:
     return params.u * mode.density
 
 
-def integrate(
-    initial: SimplexState,
-    params: PGGParams,
-    mode: DynamicsMode,
-    dt: float,
-    steps: int,
-) -> Trajectory:
+_last_flow = [None, None, None]  # (params, mode, flow) of the last `_scalar_flow` call
+
+
+def _scalar_flow(params: PGGParams, mode: DynamicsMode):
+    """The flow of one run on Python floats, kept for the last (frozen) params and
+    mode: callers evaluate one game at many states, and a build costs about a call."""
+    last_params, last_mode, flow = _last_flow
+    if params is not last_params or mode is not last_mode:
+        flow = _flow(_expected_terms(params), _effective_mu(params, mode))
+        _last_flow[:] = params, mode, flow
+    return flow
+
+
+_REPLICATOR = DynamicsMode(DynamicsKind.REPLICATOR)
+_MUTATOR = DynamicsMode(DynamicsKind.REPLICATOR_MUTATOR)
+
+
+def replicator_rhs(state: SimplexState, params: PGGParams) -> tuple[float, float, float]:
+    """Pure selection: each frequency grows at its payoff advantage over the average."""
+    return _scalar_flow(params, _REPLICATOR)(state.x, state.y, state.z)
+
+
+def mutator_rhs(state: SimplexState, params: PGGParams) -> tuple[float, float, float]:
+    """Selection plus exploration at rate params.u toward the other two strategies."""
+    return _scalar_flow(params, _MUTATOR)(state.x, state.y, state.z)
+
+
+def network_scaled_rhs(
+    state: SimplexState, params: PGGParams, density: float
+) -> tuple[float, float, float]:
+    """Selection plus exploration with the exploration rate scaled by a network density in [0, 1].
+
+    density=1 reproduces mutator_rhs and density=0 reproduces replicator_rhs
+    exactly; only the product density*u enters the flow.
+    """
+    mode = DynamicsMode(DynamicsKind.NETWORK_SCALED_MUTATOR, density)
+    return _scalar_flow(params, mode)(state.x, state.y, state.z)
+
+
+def integrate(initial: SimplexState, params: PGGParams, mode: DynamicsMode,
+              dt: float, steps: int) -> Trajectory:
     """Fixed-step classical RK4 trajectory of steps+1 samples including the start.
 
     After each step, components in [-1e-12, 0) are clamped to 0 and the state
-    renormalized; anything more negative raises IntegrationError with the step
-    index.
+    renormalized; a NaN or more negative component, or a stage that
+    overflows, raises IntegrationError with the step index.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
 
-    mu = _effective_mu(params, mode)
+    rk4 = _rk4(_scalar_flow(params, mode), dt)
     x, y, z = initial.as_tuple()
 
-    times = np.empty(steps + 1)
     freqs = np.empty((steps + 1, 3))
-    times[0] = 0.0
     freqs[0] = (x, y, z)
 
-    sixth = dt / 6.0
-    half = dt / 2.0
-    for step in range(1, steps + 1):
-        ax, ay, az = _rhs(x, y, z, params, mu)
-        bx, by, bz = _rhs(x + half * ax, y + half * ay, z + half * az, params, mu)
-        cx, cy, cz = _rhs(x + half * bx, y + half * by, z + half * bz, params, mu)
-        ex, ey, ez = _rhs(x + dt * cx, y + dt * cy, z + dt * cz, params, mu)
-        x += sixth * (ax + 2.0 * (bx + cx) + ex)
-        y += sixth * (ay + 2.0 * (by + cy) + ey)
-        z += sixth * (az + 2.0 * (bz + cz) + ez)
+    try:
+        for step in range(1, steps + 1):
+            x, y, z = rk4(x, y, z)
+            if not (x >= 0.0 and y >= 0.0 and z >= 0.0):
+                x, y, z = _clamp(step, x, y, z)
+            freqs[step] = (x, y, z)
+    except OverflowError as exc:
+        raise IntegrationError(f"state left the simplex at step {step}: a stage overflowed",
+                               step) from exc
 
-        if x < 0.0 or y < 0.0 or z < 0.0:
-            x, y, z = _clamp(step, x, y, z)
-
-        times[step] = step * dt
-        freqs[step] = (x, y, z)
-
-    return Trajectory(times=times, frequencies=freqs)
+    return Trajectory(times=np.arange(steps + 1) * dt, frequencies=freqs)
 
 
 def _clamp(step: int, x: float, y: float, z: float) -> tuple[float, float, float]:
     """The state after a step that left the simplex: components in [-1e-12, 0)
-    are clamped to 0 and the state renormalized; anything more negative raises
-    IntegrationError with the step index."""
-    if x < _NEG_TOL or y < _NEG_TOL or z < _NEG_TOL:
-        raise IntegrationError(
-            f"state left the simplex at step {step}: ({x!r}, {y!r}, {z!r})", step
-        )
-    x = max(x, 0.0)
-    y = max(y, 0.0)
-    z = max(z, 0.0)
+    are clamped to 0 and the state renormalized; a NaN or more negative
+    component raises IntegrationError with the step index."""
+    if not (x >= _NEG_TOL and y >= _NEG_TOL and z >= _NEG_TOL):
+        raise IntegrationError(f"state left the simplex at step {step}: ({x!r}, {y!r}, {z!r})",
+                               step)
+    x, y, z = max(x, 0.0), max(y, 0.0), max(z, 0.0)
     total = x + y + z
     return x / total, y / total, z / total
 
 
-def integrate_lockstep(
-    runs: list[tuple[SimplexState, PGGParams, DynamicsMode]],
-    dt: float,
-    steps: int,
-    keep: int,
-) -> list[Trajectory | IntegrationError]:
+def integrate_lockstep(runs: list[tuple[SimplexState, PGGParams, DynamicsMode]],
+                       dt: float, steps: int, keep: int) -> list[Trajectory | IntegrationError]:
     """`integrate` of every (initial, params, mode) run at once, keeping the last `keep` samples.
 
-    Each run is one element of the state and parameter arrays, and every
-    operation of `_rhs` and `_expected_terms` is applied elementwise in the
-    same order (see `_expected_terms_many`), so each kept sample is bitwise
-    equal to `integrate`'s. A run that leaves the simplex is frozen at its
-    last valid state from then on, and its result is the IntegrationError
-    that `integrate` raises for it; the other results are Trajectories of the
-    last `keep` samples, each with its own contiguous (keep, 3) array.
-    The cost per step is nearly independent of len(runs), so this pays only
-    for groups of some tens of runs.
+    Each run is one element of the arrays that the same `_rk4` step of the
+    same `_flow` works on, through `_expected_terms_many`, so each kept
+    sample is bitwise equal to `integrate`'s. A run that leaves the simplex
+    is frozen at its last valid state from then on, and its result is the
+    IntegrationError that `integrate` raises for it; the other results are
+    Trajectories of the last `keep` samples, each with its own contiguous
+    (keep, 3) array. An overflowing libm `pow` raises OverflowError for the
+    whole group, which cannot tell in which run it happened. The cost per
+    step is nearly independent of len(runs), so this pays only for groups of
+    some tens of runs.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -187,20 +207,8 @@ def integrate_lockstep(
 
     initials, params, modes = zip(*runs)
     x, y, z = (np.array(column) for column in zip(*(s.as_tuple() for s in initials)))
-    exps = [p.N - 1 for p in params]
-    c = np.array([p.c for p in params])
-    rc = np.array([p.r * p.c for p in params])
-    g = np.array([p.g for p in params])
     mu = np.array([_effective_mu(p, m) for p, m in zip(params, modes)])
-    two_mu = 2.0 * mu
-
-    def rhs(x, y, z):
-        p_c, p_d = _expected_terms_many(x, z, exps, c, rc, g)
-        p_bar = x * p_c + y * p_d
-        dx = x * (p_c - p_bar) + mu * (1.0 - x) - two_mu * x
-        dy = y * (p_d - p_bar) + mu * (1.0 - y) - two_mu * y
-        dz = z * (0.0 - p_bar) + mu * (1.0 - z) - two_mu * z
-        return dx, dy, dz
+    rk4 = _rk4(_flow(_expected_terms_many(params), mu), dt)
 
     first = steps + 1 - keep
     tail = np.empty((len(runs), keep, 3))
@@ -208,21 +216,12 @@ def integrate_lockstep(
         tail[:, 0] = np.column_stack((x, y, z))
     failed: dict[int, IntegrationError] = {}
 
-    sixth = dt / 6.0
-    half = dt / 2.0
     # A run in the no-game branch divides by active == 0, and a failed run's
     # step may overflow; both values are discarded, so their warnings are too.
     with np.errstate(all="ignore"):
         for step in range(1, steps + 1):
-            ax, ay, az = rhs(x, y, z)
-            bx, by, bz = rhs(x + half * ax, y + half * ay, z + half * az)
-            cx, cy, cz = rhs(x + half * bx, y + half * by, z + half * bz)
-            ex, ey, ez = rhs(x + dt * cx, y + dt * cy, z + dt * cz)
-            nx = x + sixth * (ax + 2.0 * (bx + cx) + ex)
-            ny = y + sixth * (ay + 2.0 * (by + cy) + ey)
-            nz = z + sixth * (az + 2.0 * (bz + cz) + ez)
-
-            for k in np.flatnonzero((nx < 0.0) | (ny < 0.0) | (nz < 0.0)).tolist():
+            nx, ny, nz = rk4(x, y, z)
+            for k in np.flatnonzero(~((nx >= 0.0) & (ny >= 0.0) & (nz >= 0.0))).tolist():
                 if k not in failed:
                     try:
                         nx[k], ny[k], nz[k] = _clamp(step, float(nx[k]), float(ny[k]), float(nz[k]))
@@ -233,10 +232,7 @@ def integrate_lockstep(
 
             x, y, z = nx, ny, nz
             if step >= first:
-                row = step - first
-                tail[:, row, 0] = x
-                tail[:, row, 1] = y
-                tail[:, row, 2] = z
+                tail[:, step - first] = np.column_stack((x, y, z))
 
     times = np.arange(first, steps + 1) * dt
     return [failed[k] if k in failed else Trajectory(times=times, frequencies=tail[k])

@@ -107,35 +107,47 @@ def realized_payoffs(n_c: int, n_d: int, params: PGGParams) -> tuple[float, floa
     return p_c, p_d
 
 
-def _expected_terms(x: float, z: float, n: int, c: float, r: float, g: float) -> tuple[float, float]:
-    """Raw-float (P_c, P_d) core shared with the ODE right-hand sides."""
-    no_coplayer = z ** (n - 1)
-    active = 1.0 - z
-    if active < _PARTICIPANT_EPS:
-        p_d = 0.0
-    else:
-        coop_share = x / active
-        if coop_share > 1.0:
-            coop_share = 1.0
-        p_d = (r * c * coop_share - g) * (1.0 - no_coplayer)
-    return p_d - c * (1.0 - no_coplayer), p_d
+def _expected_terms(params: PGGParams):
+    """The raw-float (P_c, P_d) core of the ODE flow for one game, as a function of (x, z)."""
+    n, c, r, g = params.N, params.c, params.r, params.g
+
+    def terms(x: float, z: float) -> tuple[float, float]:
+        no_coplayer = z ** (n - 1)
+        active = 1.0 - z
+        if active < _PARTICIPANT_EPS:
+            p_d = 0.0
+        else:
+            coop_share = x / active
+            if coop_share > 1.0:
+                coop_share = 1.0
+            p_d = (r * c * coop_share - g) * (1.0 - no_coplayer)
+        return p_d - c * (1.0 - no_coplayer), p_d
+
+    return terms
 
 
-def _expected_terms_many(x, z, exps, c, rc, g):
-    """Array twin of `_expected_terms`: the same operations per element, in the same order.
+def _expected_terms_many(games):
+    """Array twin of `_expected_terms` for a sequence of games: x, z and both
+    results hold one element per game, and each element sees the same
+    operations in the same order as the scalar form, r*c first.
 
-    x, z, c, g are float arrays, `rc` holds r*c (the scalar form's first
-    product) and `exps` lists N - 1 per element. z**(N-1) goes through libm
-    `pow` element by element, as the scalar float power does, because numpy's
-    `**` can differ from it in the last ulp; the results are therefore bitwise
-    equal to the scalar form's. Where active < _PARTICIPANT_EPS the division
-    may divide by 0: the caller masks that warning, and np.where discards it.
+    z**(N-1) goes through libm `pow` element by element, as the scalar float
+    power does, because numpy's `**` can differ from it in the last ulp; the
+    results are therefore bitwise equal to the scalar form's. Where active <
+    _PARTICIPANT_EPS the division may divide by 0: the caller masks that
+    warning, and np.where discards it.
     """
-    some_coplayer = 1.0 - np.fromiter(map(pow, z.tolist(), exps), float, len(exps))
-    active = 1.0 - z
-    coop_share = np.minimum(x / active, 1.0)
-    p_d = np.where(active < _PARTICIPANT_EPS, 0.0, (rc * coop_share - g) * some_coplayer)
-    return p_d - c * some_coplayer, p_d
+    exps = [p.N - 1 for p in games]
+    c, rc, g = (np.array(v) for v in zip(*((p.c, p.r * p.c, p.g) for p in games)))
+
+    def terms(x, z):
+        some_coplayer = 1.0 - np.fromiter(map(pow, z.tolist(), exps), float, len(exps))
+        active = 1.0 - z
+        coop_share = np.minimum(x / active, 1.0)
+        p_d = np.where(active < _PARTICIPANT_EPS, 0.0, (rc * coop_share - g) * some_coplayer)
+        return p_d - c * some_coplayer, p_d
+
+    return terms
 
 
 def expected_profile(state: SimplexState, params: PGGParams) -> PayoffProfile:
@@ -149,7 +161,7 @@ def expected_profile(state: SimplexState, params: PGGParams) -> PayoffProfile:
     coincides with average_payoff (the factored closed form) to rounding.
     """
     x, y, _ = state.as_tuple()
-    p_c, p_d = _expected_terms(state.x, state.z, params.N, params.c, params.r, params.g)
+    p_c, p_d = _expected_terms(params)(state.x, state.z)
     return PayoffProfile(P_c=p_c, P_d=p_d, P_l=0.0, P_bar=x * p_c + y * p_d)
 
 

@@ -121,13 +121,12 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert sha256(a) == sha256(b)
 
-    def test_grid_wins_over_set_and_takes_aliases(self, tmp_path):
+    def test_grid_wins_over_set(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out), "--set", "steps=50", "--set", "r=2",
-                     "--grid", "s=0.5,2", "--grid", "r=2.5"]) == 0
+                     "--grid", "r=2.5,3.5"]) == 0
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
-        got = [(float(row[header.index("beta")]), float(row[header.index("r")])) for row in rows]
-        assert got == [(0.5, 2.5), (2.0, 2.5)]
+        assert [float(row[header.index("r")]) for row in rows] == [2.5, 3.5]
 
 
 class TestGoldenOutputs:
@@ -209,6 +208,30 @@ class TestErrorPaths:
         assert ("at sweep point dt=5" in err) == (argv[0] == "sweep")
         assert not out.exists()
 
+    # at dt=1e6 a product in an RK4 stage overflows to inf and inf - inf gives
+    # NaN, while at dt=100 libm pow overflows inside a stage
+    @pytest.mark.parametrize("command, dt, message", [
+        ("ode", "1e6", "(nan, nan, nan)"),
+        ("ode", "100", "a stage overflowed"),
+        ("sweep", "1e6", "(nan, nan, nan)"),
+        ("sweep", "100", "a stage overflowed"),
+    ], ids=["ode-nan", "ode-overflow", "sweep-nan", "sweep-overflow"])
+    def test_nan_or_overflow_is_an_integration_error(self, tmp_path, capsys, command, dt,
+                                                     message):
+        out = tmp_path / "run.csv"
+        argv = [command, "--set", "steps=50", "--set", "N=7", "--set", "r=1.5",
+                "--set", "x0=0.3", "--set", "y0=0.3", "--set", "z0=0.4", "--out", str(out)]
+        where = ""
+        if command == "ode":
+            argv += ["--set", f"dt={dt}"]
+        else:
+            argv += ["--grid", f"dt=0.01,{dt}"]
+            where = f" at sweep point dt={dt}"
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: state left the simplex at step 1: {message}{where}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--grid", "r=2,2.5", "--grid", "r=3"], "duplicate key 'r'"),
         (["sweep", "--grid", "s=1", "--grid", "beta=2"], "duplicate key 'beta'"),
@@ -224,13 +247,20 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["t", "n", "p", "out", "plot"])
+    # no ODE run reads these keys, whether or not the header has a column for
+    # them; the alias `s` is reported as the field it names
+    @pytest.mark.parametrize("key", ["t", "n", "p", "out", "plot", "seed",
+                                     "M", "beta", "s", "pr", "pe"])
     def test_grid_key_that_is_not_a_column(self, tmp_path, capsys, key):
         out = tmp_path / "sweep.csv"
-        values = {"t": "10,20", "n": "10,20", "p": "0.1,0.2", "out": "a,b", "plot": "0,1"}
+        values = {"t": "10,20", "n": "10,20", "p": "0.1,0.2", "out": "a,b", "plot": "0,1",
+                  "seed": "1,2", "M": "50,100", "beta": "1,2", "s": "1,2", "pr": "0.5,1",
+                  "pe": "0.001,0.1"}
         argv = ["sweep", "--set", "steps=20", "--grid", f"{key}={values[key]}"]
         assert main(argv + ["--out", str(out)]) == 2
-        assert f"--grid key '{key}' is not a sweep column" in capsys.readouterr().err
+        field = "beta" if key == "s" else key
+        assert (f"--grid key '{field}' is read by no sweep point; sweepable keys: "
+                "N, c, r, g, u, mode, density, dt, steps, x0, y0, z0") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid, message", [
@@ -252,13 +282,6 @@ class TestErrorPaths:
         assert calls == []
         assert not out.exists()
 
-    def test_grid_seed_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--set", "steps=20", "--grid", "seed=1,2", "--out", str(out)]
-        assert main(argv) == 2
-        assert "--grid key 'seed' is read by no sweep point" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv, where, fields, scalar_calls", [
         # 32 points at dt=2: r=1.5, g=3 leaves the simplex at step 2 with u=1e-10,
         # and at step 1 with u=1e-2, the next point in grid order
@@ -272,7 +295,12 @@ class TestErrorPaths:
           "--grid", "u=1e-10,1e-2", "--grid", "c=1,2"],
          "N=3, g=0, u=1e-10, c=1",
          dict(dt=20.0, steps=20, x0=0.3, y0=0.3, z0=0.4, r=2.5, N=3, g=0.0, u=1e-10), 32),
-    ], ids=["lockstep", "pow-overflow"])
+        # 32 points at dt=0.01: r*c is inf at c=1e308, so the second point in
+        # grid order is NaN at step 1 and no other point fails
+        (["--set", "steps=20", "--grid", "g=0,0.5,1,3", "--grid", "u=1e-10,1e-6,1e-3,1e-2",
+          "--grid", "c=1,1e308"],
+         "g=0, u=1e-10, c=1e308", dict(steps=20, g=0.0, u=1e-10, c=1e308), 0),
+    ], ids=["lockstep", "pow-overflow", "nan"])
     def test_lockstep_group_error_is_the_scalar_one(self, tmp_path, capsys, monkeypatch,
                                                     argv, where, fields, scalar_calls):
         calls = {"integrate": 0, "integrate_lockstep": 0}

@@ -105,28 +105,28 @@ class TestOverrides:
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("r = 1.8\nseed = 3\n")
-        cfg = load_config(path, {"r": "2.5", "plot": "true"})
+        cfg = load_config(path, ["r=2.5", "plot=true"])
         assert cfg.r == 2.5
         assert cfg.seed == 3
         assert cfg.plot is True
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            load_config(None, {"nope": "1"})
+            load_config(None, ["nope=1"])
 
 
 class TestDerivedObjects:
     def test_mode_mapping(self):
-        assert load_config(None, {"mode": "replicator"}).dynamics_mode().kind \
+        assert load_config(None, ["mode=replicator"]).dynamics_mode().kind \
             is DynamicsKind.REPLICATOR
         assert RunConfig().dynamics_mode().kind is DynamicsKind.REPLICATOR_MUTATOR
         with pytest.raises(ConfigError, match="mode"):
-            load_config(None, {"mode": "sideways"})
+            load_config(None, ["mode=sideways"])
 
     def test_rounds_per_generation_pinned(self):
         # every update event plays exactly one round; there is no key to change that
         with pytest.raises(ConfigError, match="unknown config key: tt"):
-            load_config(None, {"tt": "2"})
+            load_config(None, ["tt=2"])
 
     def test_initial_population_matches_fractions(self):
         pop = RunConfig().initial_population()
@@ -134,4 +134,4 @@ class TestDerivedObjects:
 
     def test_initial_state_validated(self):
         with pytest.raises(ConfigError, match="sum to 1"):
-            load_config(None, {"x0": "0.5", "y0": "0.5", "z0": "0.5"})
+            load_config(None, ["x0=0.5", "y0=0.5", "z0=0.5"])

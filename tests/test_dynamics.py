@@ -166,6 +166,18 @@ class TestIntegrate:
             )
         assert info.value.step >= 1
 
+    @pytest.mark.parametrize("start, params, dt, message", [
+        # r*c is inf, so inf - inf makes every component NaN
+        (START, PGGParams(c=1e308), 0.01, "(nan, nan, nan)"),
+        # libm pow overflows inside an RK4 stage
+        (SimplexState(0.3, 0.3, 0.4), PGGParams(N=7, r=1.5), 100.0, "a stage overflowed"),
+    ], ids=["nan", "overflow"])
+    def test_nan_or_overflow_leaves_the_simplex(self, start, params, dt, message):
+        with pytest.raises(IntegrationError) as info:
+            integrate(start, params, MUTATOR, dt, 10)
+        assert str(info.value) == f"state left the simplex at step 1: {message}"
+        assert info.value.step == 1
+
     def test_loner_dominance_when_participation_too_costly(self):
         # participation cost at (r-1)*c and above drives everyone out
         traj = integrate(START, PGGParams(g=3.0), MUTATOR, 0.01, 200_000)
@@ -211,20 +223,23 @@ class TestIntegrateLockstep:
             assert got.frequencies.shape == (keep, 3) and got.frequencies.flags.c_contiguous
 
     def test_failed_runs_give_the_scalar_error(self):
-        # at dt=2 the first two runs leave the simplex at steps 2 and 1
+        # at dt=2 the first two runs leave the simplex at steps 2 and 1; in the
+        # last, r*c is inf, so inf - inf makes the state NaN at step 1
         runs = [(START, PGGParams(r=1.5, g=3.0), MUTATOR),
                 (START, PGGParams(r=1.5, g=3.0, u=1e-2), MUTATOR),
-                (START, PGGParams(r=1.5, g=0.5), MUTATOR)]
+                (START, PGGParams(r=1.5, g=0.5), MUTATOR),
+                (START, PGGParams(c=1e308), MUTATOR)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = integrate_lockstep(runs, 2.0, 30, 4)
         assert caught == []
-        for run, got in zip(runs[:2], results):
+        for run, got in zip(runs[:2] + runs[3:], results[:2] + results[3:]):
             with pytest.raises(IntegrationError) as want:
                 integrate(*run, 2.0, 30)
             assert isinstance(got, IntegrationError)
             assert (str(got), got.step) == (str(want.value), want.value.step)
         assert [err.step for err in results[:2]] == [2, 1]
+        assert str(results[3]) == "state left the simplex at step 1: (nan, nan, nan)"
         assert np.array_equal(results[2].frequencies, integrate(*runs[2], 2.0, 30).frequencies[-4:])
 
     def test_rejects_bad_arguments(self):
