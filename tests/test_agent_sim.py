@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pggsim import agent_sim
 from pggsim.agent_sim import (
     LearningParams,
     Population,
@@ -176,58 +178,104 @@ class TestStepGeneration:
         assert (np.abs(deltas.mean(axis=0) - predicted) <= 3 * stderr).all()
 
 
-def one_event_law(params: PGGParams, lp: LearningParams):
-    """Exact transition matrix of one update event on the states (n_c, n_d).
+def one_event_outcomes(params: PGGParams, lp: LearningParams):
+    """Exact law of one update event, outcome by outcome, on the states (n_c, n_d).
 
-    Exploration moves a uniform focal to one of its two other strategies; a
-    skip leaves the state alone; imitation picks a focal, a distinct role and
-    a multivariate-hypergeometric rest of the group, and the focal adopts
-    with fermi_probability of the round's realized_payoffs.
+    Maps each state to a list of (next state, probability, summed round
+    payoff, agents in the round). Exploration moves a uniform focal to one
+    of its two other strategies; a skip leaves the state alone; imitation
+    picks a focal, a distinct role and a multivariate-hypergeometric rest of
+    the group, and the focal adopts with fermi_probability of the round's
+    realized_payoffs.
     """
     m, n = params.M, params.N
-    states = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    groups = math.comb(m - 2, n - 2)
+    outcomes = {}
+    for a in range(m + 1):
+        for b in range(m + 1 - a):
+            counts = (a, b, m - a - b)
+            out = outcomes[a, b] = [((a, b), (1 - lp.pe) * (1 - lp.pr), 0.0, 0)]
+
+            def moved(focal, target):
+                nxt = list(counts)
+                nxt[focal] -= 1
+                nxt[target] += 1
+                return nxt[0], nxt[1]
+
+            for focal in range(3):
+                p_focal = counts[focal] / m
+                if p_focal == 0:
+                    continue
+                for target in range(3):
+                    if target != focal:
+                        out.append((moved(focal, target), lp.pe * p_focal / 2, 0.0, 0))
+                for role in range(3):
+                    rest = list(counts)
+                    rest[focal] -= 1
+                    p_pair = (1 - lp.pe) * lp.pr * p_focal * rest[role] / (m - 1)
+                    if p_pair == 0:
+                        continue
+                    rest[role] -= 1
+                    for kc in range(n - 1):
+                        for kd in range(n - 1 - kc):
+                            ways = (math.comb(rest[0], kc) * math.comb(rest[1], kd)
+                                    * math.comb(rest[2], n - 2 - kc - kd))
+                            p = p_pair * ways / groups
+                            if p == 0:
+                                continue
+                            jc = kc + (focal == 0) + (role == 0)
+                            jd = kd + (focal == 1) + (role == 1)
+                            # a round of loners only pays nothing
+                            pi = (*realized_payoffs(jc, jd, params), 0.0) if jc + jd else (0.0,) * 3
+                            round_pay = jc * pi[0] + jd * pi[1]
+                            adopt = 0.0
+                            if role != focal:
+                                adopt = fermi_probability(pi[focal], pi[role], lp.beta)
+                                out.append((moved(focal, role), p * adopt, round_pay, n))
+                            out.append(((a, b), p * (1 - adopt), round_pay, n))
+    return outcomes
+
+
+def one_event_law(params: PGGParams, lp: LearningParams):
+    """Exact transition matrix of one update event on the states (n_c, n_d)."""
+    outcomes = one_event_outcomes(params, lp)
+    states = list(outcomes)
     index = {state: i for i, state in enumerate(states)}
     law = np.zeros((len(states), len(states)))
-    groups = math.comb(m - 2, n - 2)
-    for (a, b), i in index.items():
-        counts = (a, b, m - a - b)
-
-        def move(focal, target, p):
-            nxt = list(counts)
-            nxt[focal] -= 1
-            nxt[target] += 1
-            law[i, index[(nxt[0], nxt[1])]] += p
-
-        law[i, i] += (1 - lp.pe) * (1 - lp.pr)
-        for focal in range(3):
-            p_focal = counts[focal] / m
-            if p_focal == 0:
-                continue
-            for target in range(3):
-                if target != focal:
-                    move(focal, target, lp.pe * p_focal / 2)
-            for role in range(3):
-                rest = list(counts)
-                rest[focal] -= 1
-                p_pair = (1 - lp.pe) * lp.pr * p_focal * rest[role] / (m - 1)
-                if p_pair == 0:
-                    continue
-                rest[role] -= 1
-                for kc in range(n - 1):
-                    for kd in range(n - 1 - kc):
-                        ways = (math.comb(rest[0], kc) * math.comb(rest[1], kd)
-                                * math.comb(rest[2], n - 2 - kc - kd))
-                        p = p_pair * ways / groups
-                        if p == 0 or role == focal:
-                            law[i, i] += p
-                            continue
-                        jc = kc + (focal == 0) + (role == 0)
-                        jd = kd + (focal == 1) + (role == 1)
-                        pi = (*realized_payoffs(jc, jd, params), 0.0)
-                        adopt = fermi_probability(pi[focal], pi[role], lp.beta)
-                        move(focal, role, p * adopt)
-                        law[i, i] += p * (1 - adopt)
+    for state, out in outcomes.items():
+        for nxt, p, _, _ in out:
+            law[index[state], index[nxt]] += p
     return states, index, law
+
+
+def mean_payoff_moments(params: PGGParams, lp: LearningParams, start):
+    """Exact mean and variance of one generation's mean_payoff from start.
+
+    A dynamic program over the M events carries the joint law of (state,
+    summed round payoff, agents in the rounds); mean_payoff is the ratio of
+    the last two, or 0 when no round was played.
+    """
+    outcomes = one_event_outcomes(params, lp)
+    merged = {}
+    for state, out in outcomes.items():
+        law = {}
+        for nxt, p, round_pay, played in out:
+            law[nxt, round_pay, played] = law.get((nxt, round_pay, played), 0.0) + p
+        merged[state] = list(law.items())
+    dist = {(start, 0.0, 0): 1.0}
+    for _ in range(params.M):
+        step = {}
+        for (state, pay_sum, played), p in dist.items():
+            for (nxt, round_pay, n), q in merged[state]:
+                key = (nxt, round(pay_sum + round_pay, 9), played + n)
+                step[key] = step.get(key, 0.0) + p * q
+        dist = step
+    mean = second = 0.0
+    for (_, pay_sum, played), p in dist.items():
+        value = pay_sum / played if played else 0.0
+        mean += p * value
+        second += p * value * value
+    return mean, second - mean * mean
 
 
 def chi2_survival(x: float, df: int) -> float:
@@ -240,6 +288,62 @@ def chi2_survival(x: float, df: int) -> float:
         term *= h / (a + k)
         total += term
     return 1.0 - total * math.exp(a * math.log(h) - h - math.lgamma(a))
+
+
+# The exact one-generation tests: M events from (2, 2, 2) at these settings.
+# All 28 states fit in the default law budget, so that path gives every
+# state a law; a budget of 0 runs every event one at a time, and a budget of
+# 2 mixes the two paths.
+EXACT_PARAMS = PGGParams(M=6, N=3, r=2.5)
+EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
+
+
+def one_generation(params, lp, start, runs, budget=None):
+    """Final (n_c, n_d) and mean_payoff of one generation for seeds 0 .. runs - 1.
+
+    budget, unless None, replaces the module's law budget for these runs.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(agent_sim, "_LAW_BUDGET", budget)
+        trajs = [run_abm(Population(*start), params, lp, 1, seed) for seed in range(runs)]
+    finals = [final_counts(traj, params.M)[:2] for traj in trajs]
+    return finals, np.array([traj.mean_payoffs[1] for traj in trajs])
+
+
+@functools.cache
+def exact_sample(budget):
+    return one_generation(EXACT_PARAMS, EXACT_LP, (2, 2, 2), 20_000, budget)
+
+
+def assert_matches_exact_law(params, lp, start, finals):
+    """Chi-square test of final states against the exact law of M events from start.
+
+    Bins that expect fewer than 4 counts are pooled into one.
+    """
+    states, index, law = one_event_law(params, lp)
+    expected = np.linalg.matrix_power(law, params.M)[index[start]] * len(finals)
+    observed = np.zeros(len(states))
+    for state in finals:
+        observed[index[state]] += 1
+    small = expected < 4
+    if small.any():
+        assert expected[small].sum() > 0 or observed[small].sum() == 0
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+        if expected[-1] == 0:
+            expected, observed = expected[:-1], observed[:-1]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    p_value = chi2_survival(chi2, len(expected) - 1)
+    assert p_value > 1e-3, f"chi2={chi2:.1f} over {len(expected)} bins, p={p_value:.2g}"
+
+
+def assert_mean_payoff_matches(params, lp, start, payoffs):
+    """The sample mean of mean_payoff lies within 4 standard errors of the exact mean."""
+    mean, var = mean_payoff_moments(params, lp, start)
+    assert abs(payoffs.mean() - mean) <= 4 * math.sqrt(var / len(payoffs)), (
+        f"sample {payoffs.mean():.6f}, exact {mean:.6f} +- {math.sqrt(var / len(payoffs)):.2g}"
+    )
 
 
 class TestExactOneGenerationLaw:
@@ -255,22 +359,91 @@ class TestExactOneGenerationLaw:
 
     def test_one_generation_matches_exact_law(self):
         # M events from (2, 2, 2), against 20,000 independent seeds
-        params = PGGParams(M=6, N=3, r=2.5)
-        lp = LearningParams(beta=2.0, pr=0.7, pe=0.2)
-        states, index, law = one_event_law(params, lp)
-        expected = np.linalg.matrix_power(law, params.M)[index[(2, 2)]]
-        runs = 20_000
-        observed = np.zeros(len(states))
-        for seed in range(runs):
-            n_c, n_d, _ = final_counts(run_abm(Population(2, 2, 2), params, lp, 1, seed), 6)
-            observed[index[(n_c, n_d)]] += 1
-        expected *= runs
+        states, index, law = one_event_law(EXACT_PARAMS, EXACT_LP)
+        expected = np.linalg.matrix_power(law, EXACT_PARAMS.M)[index[(2, 2)]] * 20_000
         # all 28 states are reachable; the rarest expects about 4.5 counts,
         # few enough small bins for the chi-square approximation
         assert expected.min() > 4
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        p_value = chi2_survival(chi2, len(states) - 1)
-        assert p_value > 1e-3, f"chi2={chi2:.1f} over {len(states)} bins, p={p_value:.2g}"
+        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(None)[0])
+
+    @pytest.mark.parametrize("budget", [0, 2], ids=["per-event", "mixed"])
+    def test_one_generation_matches_exact_law_on_each_path(self, budget):
+        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(budget)[0])
+
+    @pytest.mark.parametrize("budget", [None, 0, 2], ids=["law", "per-event", "mixed"])
+    def test_mean_payoff_matches_exact_law(self, budget):
+        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(budget)[1])
+
+
+class TestStateLaw:
+    """run_abm's per-state law against the oracle one_event_outcomes."""
+
+    @pytest.mark.parametrize("params, lp", [
+        (PGGParams(M=6, N=3, r=2.5), LearningParams(beta=2.0, pr=0.7, pe=0.2)),
+        (PGGParams(M=20, N=4, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.05)),
+    ], ids=["M6-N3", "M20-N4"])
+    def test_matches_oracle(self, params, lp):
+        laws = agent_sim._Laws(params, lp, *agent_sim._payoff_tables(params, lp.beta))
+        move_pay = np.array(laws.move_pay)
+        move_played = np.array(laws.move_played)
+        for state, outcomes in one_event_outcomes(params, lp).items():
+            expected = {}
+            for nxt, p, _, _ in outcomes:
+                expected[nxt] = expected.get(nxt, 0.0) + p
+            stay, change = laws.masses(*state)
+            got = {state: stay.sum()}
+            for mass, focal, to in zip(change, laws.move_from, laws.move_to):
+                counts = [state[0], state[1], params.M - sum(state)]
+                counts[focal] -= 1
+                counts[to] += 1
+                if mass:
+                    got[counts[0], counts[1]] = got.get((counts[0], counts[1]), 0.0) + mass
+            for nxt in expected.keys() | got.keys():
+                assert abs(got.get(nxt, 0.0) - expected.get(nxt, 0.0)) <= 1e-12, (state, nxt)
+            stay_played = np.full(len(stay), params.N)
+            stay_played[0] = 0
+            for column, got_value in ((2, stay @ laws.stay_pay + change @ move_pay),
+                                      (3, stay @ stay_played + change @ move_played)):
+                want = sum(outcome[1] * outcome[column] for outcome in outcomes)
+                assert abs(got_value - want) <= 1e-12, (state, column)
+
+
+class TestSamplingPaths:
+    """Edge cases on the law path (every state gets a law) and on the per-event path."""
+
+    @pytest.fixture(params=[None, 0], ids=["law", "per-event"])
+    def path(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(agent_sim, "_LAW_BUDGET", request.param)
+
+    @pytest.mark.parametrize("params, lp, start", [
+        # pe = 1: every event explores, so every event changes the state
+        (PGGParams(M=6, N=3, r=2.5), LearningParams(beta=2.0, pr=0.7, pe=1.0), (2, 2, 2)),
+        # N = 2: the rest of the group is empty
+        (PGGParams(M=6, N=2, r=1.5), LearningParams(beta=2.0, pr=0.7, pe=0.2), (2, 2, 2)),
+        # M = N: every round is played by the whole roster
+        (PGGParams(M=3, N=3, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.2), (1, 1, 1)),
+    ], ids=["pe1", "N2", "M-is-N"])
+    def test_one_generation_matches_exact_law(self, path, params, lp, start):
+        finals, payoffs = one_generation(params, lp, start, 3000)
+        assert_matches_exact_law(params, lp, start[:2], finals)
+        assert_mean_payoff_matches(params, lp, start[:2], payoffs)
+
+    def test_no_channel_freezes_the_counts(self, path):
+        params = PGGParams(M=30, N=5)
+        traj = run_abm(Population(12, 10, 8), params, LearningParams(1.0, 0.0, 0.0), 50, seed=4)
+        assert (traj.frequencies == traj.frequencies[0]).all()
+        assert (traj.mean_payoffs == 0.0).all()
+
+    def test_monomorphic_rounds_pay_exactly(self, path):
+        lp = LearningParams(beta=1.0, pr=1.0, pe=0.0)
+        traj = run_abm(Population(0, 0, 20), PGGParams(M=20, N=5), lp, 3, seed=0)
+        assert (traj.mean_payoffs == 0.0).all()
+        assert final_counts(traj, 20) == (0, 0, 20)
+        for g, payoff in ((0.0, 2.0), (0.5, 1.5)):
+            params = PGGParams(M=20, N=5, c=1, r=3, g=g)
+            traj = run_abm(Population(20, 0, 0), params, lp, 3, seed=0)
+            assert (traj.mean_payoffs[1:] == payoff).all()
 
 
 class TestRunAbm:
