@@ -191,48 +191,47 @@ def one_event_outcomes(params: PGGParams, lp: LearningParams):
     m, n = params.M, params.N
     groups = math.comb(m - 2, n - 2)
     outcomes = {}
-    for a in range(m + 1):
-        for b in range(m + 1 - a):
-            counts = (a, b, m - a - b)
-            out = outcomes[a, b] = [((a, b), (1 - lp.pe) * (1 - lp.pr), 0.0, 0)]
+    for a, b in [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]:
+        counts = (a, b, m - a - b)
+        out = outcomes[a, b] = [((a, b), (1 - lp.pe) * (1 - lp.pr), 0.0, 0)]
 
-            def moved(focal, target):
-                nxt = list(counts)
-                nxt[focal] -= 1
-                nxt[target] += 1
-                return nxt[0], nxt[1]
+        def moved(focal, target):
+            nxt = list(counts)
+            nxt[focal] -= 1
+            nxt[target] += 1
+            return nxt[0], nxt[1]
 
-            for focal in range(3):
-                p_focal = counts[focal] / m
-                if p_focal == 0:
+        for focal in range(3):
+            p_focal = counts[focal] / m
+            if p_focal == 0:
+                continue
+            for target in range(3):
+                if target != focal:
+                    out.append((moved(focal, target), lp.pe * p_focal / 2, 0.0, 0))
+            for role in range(3):
+                rest = list(counts)
+                rest[focal] -= 1
+                p_pair = (1 - lp.pe) * lp.pr * p_focal * rest[role] / (m - 1)
+                if p_pair == 0:
                     continue
-                for target in range(3):
-                    if target != focal:
-                        out.append((moved(focal, target), lp.pe * p_focal / 2, 0.0, 0))
-                for role in range(3):
-                    rest = list(counts)
-                    rest[focal] -= 1
-                    p_pair = (1 - lp.pe) * lp.pr * p_focal * rest[role] / (m - 1)
-                    if p_pair == 0:
-                        continue
-                    rest[role] -= 1
-                    for kc in range(n - 1):
-                        for kd in range(n - 1 - kc):
-                            ways = (math.comb(rest[0], kc) * math.comb(rest[1], kd)
-                                    * math.comb(rest[2], n - 2 - kc - kd))
-                            p = p_pair * ways / groups
-                            if p == 0:
-                                continue
-                            jc = kc + (focal == 0) + (role == 0)
-                            jd = kd + (focal == 1) + (role == 1)
-                            # a round of loners only pays nothing
-                            pi = (*realized_payoffs(jc, jd, params), 0.0) if jc + jd else (0.0,) * 3
-                            round_pay = jc * pi[0] + jd * pi[1]
-                            adopt = 0.0
-                            if role != focal:
-                                adopt = fermi_probability(pi[focal], pi[role], lp.beta)
-                                out.append((moved(focal, role), p * adopt, round_pay, n))
-                            out.append(((a, b), p * (1 - adopt), round_pay, n))
+                rest[role] -= 1
+                for kc in range(n - 1):
+                    for kd in range(n - 1 - kc):
+                        ways = (math.comb(rest[0], kc) * math.comb(rest[1], kd)
+                                * math.comb(rest[2], n - 2 - kc - kd))
+                        p = p_pair * ways / groups
+                        if p == 0:
+                            continue
+                        jc = kc + (focal == 0) + (role == 0)
+                        jd = kd + (focal == 1) + (role == 1)
+                        # a round of loners only pays nothing
+                        pi = (*realized_payoffs(jc, jd, params), 0.0) if jc + jd else (0.0,) * 3
+                        round_pay = jc * pi[0] + jd * pi[1]
+                        adopt = 0.0
+                        if role != focal:
+                            adopt = fermi_probability(pi[focal], pi[role], lp.beta)
+                            out.append((moved(focal, role), p * adopt, round_pay, n))
+                        out.append(((a, b), p * (1 - adopt), round_pay, n))
     return outcomes
 
 
