@@ -434,7 +434,9 @@ class TestSamplingPaths:
         assert (traj.frequencies == traj.frequencies[0]).all()
         assert (traj.mean_payoffs == 0.0).all()
 
-    def test_monomorphic_rounds_pay_exactly(self, path):
+    def test_monomorphic_rounds_pay_exactly_per_event(self, monkeypatch):
+        # TestPlayRound runs the same cases on the law path
+        monkeypatch.setattr(agent_sim, "_LAW_BUDGET", 0)
         lp = LearningParams(beta=1.0, pr=1.0, pe=0.0)
         traj = run_abm(Population(0, 0, 20), PGGParams(M=20, N=5), lp, 3, seed=0)
         assert (traj.mean_payoffs == 0.0).all()
