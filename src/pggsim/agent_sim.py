@@ -15,11 +15,13 @@ of events from the current state's one-event law at once (the n-fold way of
 Bortz, Kalos & Lebowitz, J. Comput. Phys. 17:10, 1975): a geometric number
 of events that keep the state, one multinomial over their outcomes (the skip
 and each round cell), which gives their payoff sum and played count, and one
-categorical draw of the event that changes the state. A law is built on a
-state's first visit, for at most _LAW_BUDGET states per run; in every other
-state the events are simulated one at a time until the state changes. Both
-paths sample the same law, and which one runs depends only on the history,
-so the process is exact in distribution.
+categorical draw of the event that changes the state. A run takes this path
+in the first _LAW_BUDGET distinct states it visits; in every other state the
+events are simulated one at a time until the state changes. Both paths
+sample the same law, and which one runs depends only on the run's own
+history, so the process is exact in distribution. The laws themselves belong
+to the game: they are built on first use and shared by every run of the same
+(params, lp), so what ran earlier in the process changes no output.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -28,6 +30,7 @@ runs (sweeps, seed batches) must simply use distinct seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -142,43 +145,16 @@ def gillespie_select(propensities, z1: float) -> int:
     return len(props) - 1  # guards against rounding in the final bracket
 
 
-def _payoff_tables(
-    params: PGGParams, beta: float
-) -> tuple[list[list[float]], list[list[list[float]]]]:
-    """Per-run lookup tables of the round an imitation event plays.
-
-    pay[jc][jd] is the summed payoff of a round with jc cooperators and jd
-    defectors. adopt[3 * focal + role][jc][jd] is the probability that the
-    focal adopts the role's strategy after that round; it is 0 when the two
-    already share a strategy. Both come from realized_payoffs and
-    fermi_probability alone.
-    """
-    n = params.N
-    pay = [[0.0] * (n + 1) for _ in range(n + 1)]
-    adopt = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(9)]
-    for jc in range(n + 1):
-        for jd in range(n + 1 - jc):
-            # a round without participants pays nothing, like a lone participant
-            p_c, p_d = realized_payoffs(jc, jd, params) if jc + jd else (0.0, 0.0)
-            pay[jc][jd] = jc * p_c + jd * p_d
-            pi = (p_c, p_d, 0.0)
-            for focal in range(3):
-                for role in range(3):
-                    if role != focal:
-                        adopt[3 * focal + role][jc][jd] = fermi_probability(
-                            pi[focal], pi[role], beta
-                        )
-    return pay, adopt
-
-
-# Most states a run keeps a one-event law for. A law is 88 float64 values at
-# N=5 (704 bytes). On 10^6 events at M=1000, pe=0.05, a walk through about
-# 10^4 distinct states, peak RSS was 34.3 MB with no laws, 35.6 MB with this
-# budget and 40.2 MB with a law for every visited state (2-core x86 host).
-# Laws are never evicted: the walk has so little locality that an LRU cache
-# of 2048 laws rebuilt 41.5k of them against 9.9k distinct states.
+# Most distinct states a run takes the law path in, the first it visits. A law
+# is 88 float64 values at N=5 (704 bytes). At seed 1, abm-default (10^6 events
+# at M=100) visits 1,875 distinct states, in 43,316 law-path stretches and 1,729
+# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,428, in 1,348
+# stretches and 282,412 per-event visits. There, peak RSS was 34.3 MB with no
+# laws, 35.6 MB with this budget and 40.2 MB with a law for every visited state
+# (2-core x86 host). A run drops no law: that walk has so little locality that
+# an LRU cache of 2048 laws rebuilt 41.5k of them.
 _LAW_BUDGET = 1024
-# Bytes the laws of one run may take, their comb table included: a law holds
+# Bytes the laws of one game may take, their comb table included: a law holds
 # about 3 N^2 values, so at large N fewer laws fit. Within this bound every
 # C(M - 2, N - 2) is below 1e277, so no weight overflows.
 _LAW_BYTES = 4 << 20
@@ -186,8 +162,17 @@ _LAW_BYTES = 4 << 20
 _CHUNK_EVENTS = 128
 
 
+@functools.lru_cache(maxsize=1)
 class _Laws:
-    """One-event laws of the states a run visits, built with numpy on first visit.
+    """Lookup tables and one-event laws of one game, shared by all its runs.
+
+    Equal (params, lp) give the same object; only its cache of laws changes.
+
+    pay[jc][jd] is the summed payoff of a round with jc cooperators and jd
+    defectors. adopt[3 * focal + role][jc][jd] is the probability that the
+    focal adopts the role's strategy after that round; it is 0 when the two
+    already share a strategy. Both come from realized_payoffs and
+    fermi_probability alone.
 
     An event keeps the state by the skip or by a round after which the focal
     does not adopt: stay_pay[0] is the skip's round payoff (none), and
@@ -199,17 +184,33 @@ class _Laws:
     move_to[j] agent and carries round payoff move_pay[j] over move_played[j]
     agents.
 
-    The law of state i is stay[i], the distribution of the outcome of an
-    event that keeps the state, cum[i], the cumulative masses of the moves,
-    and p_change[i]. index maps a state (n_c, n_d) to its i.
+    law(n_c, n_d) is the law of that state: p_change, the probability that
+    an event changes the state, the read-only arrays stay, the distribution
+    of the outcome of an event that keeps it, and cum, the cumulative masses
+    of the moves. The budget most recently used laws are kept, as many as
+    fit in _LAW_BYTES.
     """
 
-    def __init__(self, params: PGGParams, lp: LearningParams, pay, adopt):
+    def __init__(self, params: PGGParams, lp: LearningParams):
         m, n = params.M, params.N
         self.m = m
         self.comb_width = n - 1
         rests = [(kc, kd, n - 2 - kc - kd) for kc in range(n - 1) for kd in range(n - 1 - kc)]
         cells = [(jc, jd) for jc in range(n + 1) for jd in range(n + 1 - jc)]
+        pay = [[0.0] * (n + 1) for _ in range(n + 1)]
+        adopt = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(9)]
+        for jc, jd in cells:
+            # a round without participants pays nothing, like a lone participant
+            p_c, p_d = realized_payoffs(jc, jd, params) if jc + jd else (0.0, 0.0)
+            pay[jc][jd] = jc * p_c + jd * p_d
+            pi = (p_c, p_d, 0.0)
+            for focal in range(3):
+                for role in range(3):
+                    if role != focal:
+                        adopt[3 * focal + role][jc][jd] = fermi_probability(
+                            pi[focal], pi[role], lp.beta
+                        )
+        self.pay, self.adopt = pay, adopt
         cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
         # the 6 pairs with focal != role come first: only they can move
         moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
@@ -226,7 +227,7 @@ class _Laws:
                 keep.append(1.0 - adopt[3 * focal + role][jc][jd])
         self.cell = np.array(cell)
         self.keep = np.array(keep).reshape(9, len(rests))
-        self.adopt = 1.0 - self.keep[:6]
+        self.take = 1.0 - self.keep[:6]
         self.stay_pay = np.array([0.0] + [pay[jc][jd] for jc, jd in cells])
         moves = moving + [pair for pair in moving for _ in rests]
         self.move_from = [focal for focal, _ in moves]
@@ -241,11 +242,8 @@ class _Laws:
 
         row_bytes = 8 * (len(cells) + 1 + len(moves))
         table_bytes = 8 * (m + 3) * (n - 1)
-        self.budget = min(_LAW_BUDGET, max(0, _LAW_BYTES - table_bytes) // row_bytes)
-        self.stay = np.empty((self.budget, len(cells) + 1))
-        self.cum = np.empty((self.budget, len(moves)))
-        self.p_change: list[float] = []
-        self.index: dict[tuple[int, int], int] = {}
+        self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
+        self.law = functools.lru_cache(maxsize=self.budget)(self._law)
         if not self.budget:
             return
         # comb[(2 + x) * (N - 1) + j] = C(x, j) for x <= M and j <= N - 2, the
@@ -275,19 +273,18 @@ class _Laws:
         stay = np.bincount(self.cell, (mass * self.keep).ravel(), minlength=len(self.stay_pay))
         stay[0] = self.skip
         explore = self.explore_scale * c[self.focal[:6]]
-        return stay, np.concatenate((explore, (mass[:6] * self.adopt).ravel()))
+        return stay, np.concatenate((explore, (mass[:6] * self.take).ravel()))
 
-    def add(self, n_c: int, n_d: int) -> int:
-        """Row of the new law of state (n_c, n_d)."""
-        i = len(self.p_change)
+    def _law(self, n_c: int, n_d: int) -> tuple[float, np.ndarray, np.ndarray]:
         stay, change = self.masses(n_c, n_d)
         kept = float(stay.sum())
-        moved = float(np.cumsum(change, out=self.cum[i])[-1])
+        cum = np.cumsum(change)
+        moved = float(cum[-1])
         if kept > 0.0:
-            np.divide(stay, kept, out=self.stay[i])
-        self.p_change.append(moved / (kept + moved))
-        self.index[n_c, n_d] = i
-        return i
+            stay /= kept
+        # shared by every run of the game
+        stay.flags.writeable = cum.flags.writeable = False
+        return moved / (kept + moved), stay, cum
 
 
 def run_abm(
@@ -314,12 +311,13 @@ def run_abm(
     pr = lp.pr
     pe = lp.pe
     counts = list(initial.counts())
-    pay, adopt = _payoff_tables(params, lp.beta)
-    laws = _Laws(params, lp, pay, adopt)
-    index, p_change, stay, cum = laws.index, laws.p_change, laws.stay, laws.cum
-    budget = laws.budget
-    stay_pay, move_from, move_to = laws.stay_pay, laws.move_from, laws.move_to
-    move_pay, move_played = laws.move_pay, laws.move_played
+    game = _Laws(params, lp)
+    pay, adopt, law_of = game.pay, game.adopt, game.law
+    stay_pay, move_from, move_to = game.stay_pay, game.move_from, game.move_to
+    move_pay, move_played = game.move_pay, game.move_played
+    # read per run, not kept in the shared game: the path depends on this run alone
+    laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
+    budget = min(_LAW_BUDGET, game.budget)
 
     # uniforms as a Python list: indexing a numpy array makes a scalar per read
     chunk = (n + 3) * min(m, _CHUNK_EVENTS)
@@ -337,11 +335,12 @@ def run_abm(
         pay_count = 0
         left = m
         while left:
-            i = index.get((counts[0], counts[1]))
-            if i is None and len(p_change) < budget:
-                i = laws.add(counts[0], counts[1])
+            state = (counts[0], counts[1])
+            law = laws.get(state)
+            if law is None and len(laws) < budget:
+                law = laws[state] = law_of(*state)
 
-            if i is None:
+            if law is None:
                 # no law: one event at a time until the state changes
                 while left:
                     left -= 1
@@ -415,7 +414,7 @@ def run_abm(
             if k > last:
                 uniforms = rng.random(chunk).tolist()
                 k = 0
-            p = p_change[i]
+            p, stay, cum = law
             if p == 0.0:
                 run = left
             elif p == 1.0:
@@ -426,15 +425,14 @@ def run_abm(
                 k += 1
                 run = left if x >= left else int(x)
             if run:
-                drawn = rng.multinomial(run, stay[i])
+                drawn = rng.multinomial(run, stay)
                 pay_sum += float(drawn.dot(stay_pay))
                 pay_count += n * (run - int(drawn[0]))
                 left -= run
                 if not left:
                     break
             # the first move whose cumulative mass reaches a point of (0, total]
-            row = cum[i]
-            j = bisect_left(row, (1.0 - uniforms[k]) * row[-1])
+            j = bisect_left(cum, (1.0 - uniforms[k]) * cum[-1])
             k += 1
             counts[move_from[j]] -= 1
             counts[move_to[j]] += 1

@@ -382,7 +382,7 @@ class TestStateLaw:
         (PGGParams(M=20, N=4, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.05)),
     ], ids=["M6-N3", "M20-N4"])
     def test_matches_oracle(self, params, lp):
-        laws = agent_sim._Laws(params, lp, *agent_sim._payoff_tables(params, lp.beta))
+        laws = agent_sim._Laws(params, lp)
         move_pay = np.array(laws.move_pay)
         move_played = np.array(laws.move_played)
         for state, outcomes in one_event_outcomes(params, lp).items():
@@ -405,6 +405,96 @@ class TestStateLaw:
                                       (3, stay @ stay_played + change @ move_played)):
                 want = sum(outcome[1] * outcome[column] for outcome in outcomes)
                 assert abs(got_value - want) <= 1e-12, (state, column)
+
+
+class TestSharedLaws:
+    """Runs of one game share its _Laws; which path a run takes stays its own."""
+
+    GAMES = {
+        "M6": (EXACT_PARAMS, EXACT_LP, (2, 2, 2)),
+        "M20": (PGGParams(M=20, N=4, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.05), (6, 7, 7)),
+    }
+    # (law budget, game) per run: the games alternate, and each budget change
+    # comes while the game is still cached from the run before
+    STEPS = [(None, "M6"), (None, "M20"), (0, "M20"), (0, "M6"),
+             (2, "M6"), (2, "M20"), (None, "M20"), (None, "M6")]
+
+    def run(self, name, budget, seed):
+        params, lp, start = self.GAMES[name]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(agent_sim, "_LAW_BUDGET", budget)
+            traj = run_abm(Population(*start), params, lp, 30, seed)
+        return traj.frequencies.tobytes() + traj.mean_payoffs.tobytes()
+
+    def test_output_does_not_depend_on_earlier_runs(self):
+        warm = [self.run(name, budget, seed) for seed, (budget, name) in enumerate(self.STEPS)]
+        fresh = []
+        for seed, (budget, name) in enumerate(self.STEPS):
+            agent_sim._Laws.cache_clear()
+            fresh.append(self.run(name, budget, seed))
+        assert warm == fresh
+
+    def test_runs_of_one_game_reuse_its_laws(self):
+        params, lp, _ = self.GAMES["M20"]
+        agent_sim._Laws.cache_clear()
+        # a game first built under a law budget of 0 still keeps the laws it builds later
+        self.run("M20", 0, seed=1)
+        game = agent_sim._Laws(params, lp)
+        self.run("M20", None, seed=1)
+        built = game.law.cache_info().misses
+        assert built > 0
+        self.run("M20", None, seed=1)
+        assert agent_sim._Laws(params, lp) is game
+        assert game.law.cache_info().misses == built
+
+    def test_shared_laws_are_read_only(self):
+        params, lp, _ = self.GAMES["M6"]
+        _, stay, cum = agent_sim._Laws(params, lp).law(2, 2)
+        for array in (stay, cum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
+class TestLawBytes:
+    """The _LAW_BYTES bound on the laws of one game."""
+
+    @staticmethod
+    def largest_m(n):
+        """Largest M at which a game of group size n gets one law within _LAW_BYTES."""
+        # stay row, skip included, and the cumulative masses of 6 + 6 C(n, 2) moves
+        row_bytes = 8 * ((n + 1) * (n + 2) // 2 + 1 + 6 + 3 * n * (n - 1))
+        return (agent_sim._LAW_BYTES - row_bytes) // (8 * (n - 1)) - 3
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_largest_m_is_the_module_bound(self, n):
+        m = self.largest_m(n)
+        assert agent_sim._Laws(PGGParams(M=m, N=n, r=1.5), LearningParams()).budget == 1
+        assert agent_sim._Laws(PGGParams(M=m + 1, N=n, r=1.5), LearningParams()).budget == 0
+
+    def test_weights_stay_finite_within_the_bound(self):
+        def log10_comb(x, j):
+            return (math.lgamma(x + 1) - math.lgamma(j + 1) - math.lgamma(x - j + 1)) / math.log(10)
+
+        # every N with a law at some M, at its largest such M, where C is largest
+        worst = (-math.inf, None)
+        n = 2
+        while (m := self.largest_m(n)) >= n:
+            # C(M - 2, N - 2) divides pair_scale and bounds every weight; the
+            # comb table's largest entry is C(M, j) at j = min(N - 2, M // 2)
+            worst = max(worst, (log10_comb(m - 2, n - 2), (m, n)))
+            assert log10_comb(m, min(n - 2, m // 2)) < 308
+            n += 1
+        assert worst[0] < 277
+        assert worst[1] == (1753, 211)
+
+    def test_game_past_the_bound_runs_per_event(self):
+        params, lp = PGGParams(M=10**6, N=5), LearningParams(pr=0.0, pe=1e-5)
+        traj = run_abm(Population(400_000, 300_000, 300_000), params, lp, 1, seed=3)
+        game = agent_sim._Laws(params, lp)
+        assert game.budget == 0
+        assert game.law.cache_info().misses == 0
+        assert traj.frequencies[1].tolist() != traj.frequencies[0].tolist()
 
 
 class TestSamplingPaths:
