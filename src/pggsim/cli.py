@@ -18,7 +18,7 @@ from pathlib import Path
 from . import analysis, game_core
 from .agent_sim import run_abm
 from .config import RunConfig, load_config, parse_grid
-from .dynamics import Trajectory, integrate, integrate_lockstep
+from .dynamics import integrate, integrate_tails
 from .errors import ConfigError, IntegrationError
 from .network import generate_er, edge_list_text
 from .plotting import plot_simplex
@@ -33,13 +33,6 @@ _SWEEP_PARAM_COLUMNS = (
 
 # the keys an ODE run reads; any other --grid key would give rows whose stats agree
 _SWEEP_KEYS = ("N", "c", "r", "g", "u", "mode", "density", "dt", "steps", "x0", "y0", "z0")
-
-# A sweep group of at least this many points sharing (dt, steps) is integrated
-# in lockstep. Measured on a 2-core AVX-512 host (Python 3.11, numpy 2.4) with
-# 2000 steps: a lockstep step costs about 150 us plus about 1 us per point, the
-# scalar `integrate` about 5 us per point and step. The two broke even between
-# 24 and 32 points; a single point in lockstep was about 30 times slower.
-_LOCKSTEP_MIN_POINTS = 32
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -93,25 +86,6 @@ def cmd_graph(cfg: RunConfig) -> int:
     return 0
 
 
-def _integrate_group(runs, dt: float, steps: int, keep: int) -> list:
-    """The last `keep` samples of each run as a Trajectory, or the exception its
-    integration raised; lockstep for large groups, else one `integrate` per run."""
-    if len(runs) >= _LOCKSTEP_MIN_POINTS:
-        try:
-            return integrate_lockstep(runs, dt, steps, keep)
-        except OverflowError:
-            pass  # some run's pow overflowed; the scalar path tells which and when
-    results = []
-    for run in runs:
-        try:
-            traj = integrate(*run, dt, steps)
-        except IntegrationError as exc:
-            results.append(exc)
-        else:
-            results.append(Trajectory(traj.times[-keep:].copy(), traj.frequencies[-keep:].copy()))
-    return results
-
-
 def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
     """One stats row per point of the grid's product; `grid` is `config.parse_grid`'s result.
 
@@ -120,10 +94,9 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
     the same key in `cfg`. Every point is built, and so validated, before the
     first one is integrated.
 
-    Points that share (dt, steps) form a group; a group of at least
-    _LOCKSTEP_MIN_POINTS points is integrated in lockstep, a smaller one point
-    by point, with byte-identical rows either way. Only the trailing samples
-    that the stats read are kept. If points leave the simplex, the error names
+    Points that share (dt, steps) form a group, which
+    `dynamics.integrate_tails` integrates, keeping only the trailing tenth of
+    samples that the stats read. If points leave the simplex, the error names
     the first of them in grid order, as if the points ran one by one.
     """
     if not grid:
@@ -145,7 +118,7 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
         configs = [points[i][1] for i in members]
         runs = [(p.initial_state(), p.pgg_params(), p.dynamics_mode()) for p in configs]
         keep = analysis.window_rows(steps + 1, _SWEEP_WINDOW)
-        for i, result in zip(members, _integrate_group(runs, dt, steps, keep)):
+        for i, result in zip(members, integrate_tails(runs, dt, steps, keep)):
             results[i] = result
 
     stat_cols = ("mean_x", "mean_y", "mean_z", "amp_x", "amp_y", "amp_z",

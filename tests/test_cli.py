@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import pggsim.cli
+import pggsim.dynamics
 from pggsim.cli import main
 from pggsim.config import RunConfig
 from pggsim.dynamics import Trajectory, integrate
@@ -283,9 +283,9 @@ class TestErrorPaths:
     def test_sweep_validates_every_point_first(self, tmp_path, capsys, monkeypatch,
                                                grid, message):
         calls = []
-        for name in ("integrate", "integrate_lockstep"):
-            real = getattr(pggsim.cli, name)
-            monkeypatch.setattr(pggsim.cli, name,
+        for name in ("integrate", "_integrate_lockstep"):
+            real = getattr(pggsim.dynamics, name)
+            monkeypatch.setattr(pggsim.dynamics, name,
                                 lambda *a, real=real: calls.append(a) or real(*a))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--set", "steps=20", "--grid", grid, "--out", str(out)]) == 2
@@ -314,12 +314,12 @@ class TestErrorPaths:
     ], ids=["lockstep", "pow-overflow", "nan"])
     def test_lockstep_group_error_is_the_scalar_one(self, tmp_path, capsys, monkeypatch,
                                                     argv, where, fields, scalar_calls):
-        calls = {"integrate": 0, "integrate_lockstep": 0}
+        calls = {"integrate": 0, "_integrate_lockstep": 0}
         for name in calls:
-            def counted(*a, name=name, real=getattr(pggsim.cli, name)):
+            def counted(*a, name=name, real=getattr(pggsim.dynamics, name)):
                 calls[name] += 1
                 return real(*a)
-            monkeypatch.setattr(pggsim.cli, name, counted)
+            monkeypatch.setattr(pggsim.dynamics, name, counted)
         point = RunConfig(**fields)
         with pytest.raises(IntegrationError) as scalar:
             integrate(point.initial_state(), point.pgg_params(), point.dynamics_mode(),
@@ -331,7 +331,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"error: {scalar.value} at sweep point {where}\n"
         assert caught == []
-        assert calls == {"integrate": scalar_calls, "integrate_lockstep": 1}
+        assert calls == {"integrate": scalar_calls, "_integrate_lockstep": 1}
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):

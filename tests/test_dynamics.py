@@ -7,8 +7,10 @@ import pggsim.dynamics
 from pggsim.dynamics import (
     DynamicsKind,
     DynamicsMode,
+    Trajectory,
+    _integrate_lockstep,
     integrate,
-    integrate_lockstep,
+    integrate_tails,
     mutator_rhs,
     network_scaled_rhs,
     replicator_rhs,
@@ -212,7 +214,7 @@ class TestIntegrateLockstep:
         monkeypatch.setattr(pggsim.dynamics, "_clamp", lambda *a: clamped.append(a) or real(*a))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results = integrate_lockstep(self.RUNS, 0.1, 40, keep)
+            results = _integrate_lockstep(self.RUNS, 0.1, 40, keep)
         assert caught == []
         assert [step for step, *_ in clamped] == [2]
         assert len(results) == len(self.RUNS)
@@ -231,7 +233,7 @@ class TestIntegrateLockstep:
                 (START, PGGParams(c=1e308), MUTATOR)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results = integrate_lockstep(runs, 2.0, 30, 4)
+            results = _integrate_lockstep(runs, 2.0, 30, 4)
         assert caught == []
         for run, got in zip(runs[:2] + runs[3:], results[:2] + results[3:]):
             with pytest.raises(IntegrationError) as want:
@@ -242,8 +244,35 @@ class TestIntegrateLockstep:
         assert str(results[3]) == "state left the simplex at step 1: (nan, nan, nan)"
         assert np.array_equal(results[2].frequencies, integrate(*runs[2], 2.0, 30).frequencies[-4:])
 
+    # integrate_tails checks the arguments of both paths, lockstep for 36 runs
     def test_rejects_bad_arguments(self):
-        for dt, steps, keep, match in [(0.0, 10, 1, "dt"), (0.1, 0, 1, "steps"),
-                                       (0.1, 10, 0, "keep"), (0.1, 10, 12, "keep")]:
-            with pytest.raises(ValueError, match=match):
-                integrate_lockstep(self.RUNS, dt, steps, keep)
+        for runs in (self.RUNS, self.RUNS * 4):
+            for dt, steps, keep, match in [(0.0, 10, 1, "dt"), (0.1, 0, 1, "steps"),
+                                           (0.1, 10, 0, "keep"), (0.1, 10, 12, "keep")]:
+                with pytest.raises(ValueError, match=match):
+                    integrate_tails(runs, dt, steps, keep)
+
+
+class TestIntegrateTails:
+    # at dt=2 the points with r=1.5 and g=3 leave the simplex; no libm pow overflows
+    RUNS = [(START, PGGParams(r=r, g=g, u=u), MUTATOR)
+            for r in (1.5, 2.5, 3.5, 4.5) for g in (0.0, 0.5, 1.0, 3.0) for u in (1e-10, 1e-2)]
+
+    def test_lockstep_threshold_changes_no_result(self, monkeypatch):
+        calls = []
+        real = pggsim.dynamics._integrate_lockstep
+        monkeypatch.setattr(pggsim.dynamics, "_integrate_lockstep",
+                            lambda *a: calls.append(len(a[0])) or real(*a))
+        scalar = integrate_tails(self.RUNS[:31], 2.0, 30, 4)
+        assert calls == []
+        lockstep = integrate_tails(self.RUNS, 2.0, 30, 4)
+        assert calls == [32]
+        assert [type(got) for got in scalar[:8]] == [Trajectory] * 6 + [IntegrationError] * 2
+        for want, got in zip(scalar, lockstep):
+            if isinstance(want, IntegrationError):
+                assert type(got) is IntegrationError
+                assert (str(got), got.step) == (str(want), want.step)
+            else:
+                assert np.array_equal(got.times, want.times)
+                assert np.array_equal(got.frequencies, want.frequencies)
+                assert got.frequencies.shape == (4, 3) and got.frequencies.flags.c_contiguous
