@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -243,7 +244,9 @@ class _Laws:
         row_bytes = 8 * (len(cells) + 1 + len(moves))
         table_bytes = 8 * (m + 3) * (n - 1)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
-        self.law = functools.lru_cache(maxsize=self.budget)(self._law)
+        # the cache reaches the game only weakly, so a replaced game is freed at once
+        law = weakref.WeakMethod(self._law)
+        self.law = functools.lru_cache(maxsize=self.budget)(lambda n_c, n_d: law()(n_c, n_d))
         if not self.budget:
             return
         # comb[(2 + x) * (N - 1) + j] = C(x, j) for x <= M and j <= N - 2, the

@@ -40,13 +40,35 @@ def _write_csv(path: Path, header, rows) -> None:
     everything else as {}. Each column keeps the type it has in the first row."""
     rows = iter(rows)
     first = next(rows, None)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as out:
         out.write(",".join(header) + "\n")
         if first is not None:
             line = ",".join("{:.11e}" if isinstance(v, float) else "{}" for v in first) + "\n"
             out.write(line.format(*first))
             out.writelines(itertools.starmap(line.format, rows))
+
+
+def _write_outputs(out: Path, header, rows, plot=None) -> None:
+    """Write the CSV `out` and, given a trajectory to `plot`, its SVG beside it.
+
+    Every file is opened for writing, which creates or empties it, before any
+    is filled. If a step fails, the files opened are removed: a failed command
+    leaves none of its files behind and removes none it could not open.
+    """
+    paths = [out] if plot is None else [out, out.with_suffix(".svg")]
+    opened = []
+    try:
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.open("w").close()
+            opened.append(path)
+        _write_csv(out, header, rows)
+        if plot is not None:
+            plot_simplex(plot, paths[1])
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _out_path(cfg: RunConfig, default: str) -> Path:
@@ -57,11 +79,9 @@ def cmd_ode(cfg: RunConfig) -> int:
     traj = integrate(
         cfg.initial_state(), cfg.pgg_params(), cfg.dynamics_mode(), cfg.dt, cfg.steps
     )
-    out = _out_path(cfg, "ode.csv")
-    _write_csv(out, ("t", "x", "y", "z"),
-               zip(traj.times.tolist(), *traj.frequencies.T.tolist()))
-    if cfg.plot:
-        plot_simplex(traj, out.with_suffix(".svg"))
+    _write_outputs(_out_path(cfg, "ode.csv"), ("t", "x", "y", "z"),
+                   zip(traj.times.tolist(), *traj.frequencies.T.tolist()),
+                   traj if cfg.plot else None)
     return 0
 
 
@@ -69,12 +89,11 @@ def cmd_abm(cfg: RunConfig) -> int:
     traj = run_abm(
         cfg.initial_population(), cfg.pgg_params(), cfg.learning_params(), cfg.t, cfg.seed
     )
-    out = _out_path(cfg, "abm.csv")
-    _write_csv(out, ("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
-               zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
-                   traj.mean_payoffs.tolist()))
-    if cfg.plot:
-        plot_simplex(traj, out.with_suffix(".svg"))
+    _write_outputs(_out_path(cfg, "abm.csv"),
+                   ("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
+                   zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
+                       traj.mean_payoffs.tolist()),
+                   traj if cfg.plot else None)
     return 0
 
 
@@ -133,7 +152,7 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
             *st.time_means, *st.amplitude, *st.oscillation_counts,
             st.fixated if st.fixated is not None else -1,
         ])
-    _write_csv(_out_path(cfg, "sweep.csv"), _SWEEP_PARAM_COLUMNS + stat_cols, rows)
+    _write_outputs(_out_path(cfg, "sweep.csv"), _SWEEP_PARAM_COLUMNS + stat_cols, rows)
     return 0
 
 

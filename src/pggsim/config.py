@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def pgg_params(self) -> PGGParams:
         return PGGParams(M=self.M, N=self.N, c=self.c, r=self.r, g=self.g, u=self.u)
@@ -102,7 +104,8 @@ def _parse_value(key: str, raw: str, prefix: str):
             value = float(text)
             if not math.isfinite(value) or kind is int and not value.is_integer():
                 raise ValueError
-            return kind(value)
+            # an integer literal is read exactly, also past 2**53; a form such as 1e3 is not
+            return int(text) if kind is int and text.lstrip("+-").isdecimal() else kind(value)
         if kind is bool:
             lowered = text.lower()
             if lowered in ("true", "1", "yes", "on"):

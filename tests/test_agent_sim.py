@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -454,6 +456,19 @@ class TestSharedLaws:
         for array in (stay, cum):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+
+    def test_replaced_game_is_freed_at_once(self):
+        gc.disable()
+        try:
+            self.run("M20", None, seed=1)
+            game = agent_sim._Laws(*self.GAMES["M20"][:2])
+            assert game.law.cache_info().currsize > 0
+            old = weakref.ref(game)
+            del game
+            self.run("M6", None, seed=1)
+            assert old() is None
+        finally:
+            gc.enable()
 
 
 class TestLawBytes:

@@ -1,12 +1,15 @@
 import hashlib
+import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pggsim.cli
 import pggsim.dynamics
 from pggsim.cli import main
 from pggsim.config import RunConfig
@@ -65,6 +68,12 @@ class TestAbmCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert sha256(a) == sha256(b)
+
+    def test_seeds_past_2_53_differ(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for seed, out in ((2**53, a), (2**53 + 1, b)):
+            assert main(["abm", "--seed", str(seed), "--set", "t=300", "--out", str(out)]) == 0
+        assert a.read_bytes() != b.read_bytes()
 
     def test_distinct_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -340,6 +349,36 @@ class TestErrorPaths:
         # using the existing file as a directory component fails with OSError
         assert main(["ode", "--set", "steps=10", "--out", str(target / "y.csv")]) == 1
 
+    @pytest.mark.parametrize("command", ["ode", "abm"])
+    def test_unwritable_plot_leaves_no_csv(self, tmp_path, capsys, command):
+        out = tmp_path / "run.csv"
+        (tmp_path / "run.svg").mkdir()
+        argv = [command, "--set", "steps=100", "--set", "t=5", "--plot", "--out", str(out)]
+        assert main(argv) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.svg"]
+        assert (tmp_path / "run.svg").is_dir()
+
+    def test_failing_row_stream_leaves_no_file(self, tmp_path):
+        def rows():
+            yield 0.0, 1.0
+            yield 1.0, 2.0
+            raise RuntimeError("row failed")
+
+        traj = Trajectory(times=np.zeros(1), frequencies=np.array([[1.0, 0.0, 0.0]]))
+        for plot in (None, traj):
+            with pytest.raises(RuntimeError, match="row failed"):
+                pggsim.cli._write_outputs(tmp_path / "run.csv", ("a", "b"), rows(), plot)
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ode", "abm", "graph"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "run.csv"
+        argv = [command, "--seed", "-1", "--set", "steps=10", "--set", "t=5", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
 
 class TestPlotting:
     def test_single_point_marks_vertex(self, tmp_path):
@@ -379,9 +418,13 @@ class TestPlotting:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # the child imports the package under test, also when only pytest's
+        # `pythonpath` setting put it on the parent's path
+        src = str(Path(pggsim.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "pggsim", "equilibrium"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "mixed weights" in result.stdout

@@ -100,6 +100,14 @@ class TestFileParsing:
         path.write_text("steps = 1e5\n")
         assert load_config(path).steps == 100_000
 
+    def test_integer_literal_is_exact(self):
+        assert load_config(None, ["seed=9007199254740993"]).seed == 2**53 + 1
+        assert load_config(None, ["seed=+12"]).seed == 12
+
+    def test_negative_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            load_config(None, ["seed=-1"])
+
 
 class TestOverrides:
     def test_flags_win_over_file(self, tmp_path):
