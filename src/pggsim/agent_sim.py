@@ -244,7 +244,8 @@ class _Laws:
         row_bytes = 8 * (len(cells) + 1 + len(moves))
         table_bytes = 8 * (m + 3) * (n - 1)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
-        # the cache reaches the game only weakly, so a replaced game is freed at once
+        # the cache reaches the game only weakly, so a replaced game is freed at
+        # once; `law` works while its caller holds the game
         law = weakref.WeakMethod(self._law)
         self.law = functools.lru_cache(maxsize=self.budget)(lambda n_c, n_d: law()(n_c, n_d))
         if not self.budget:
