@@ -201,8 +201,7 @@ class _Laws:
         pay = [[0.0] * (n + 1) for _ in range(n + 1)]
         adopt = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(9)]
         for jc, jd in cells:
-            # a round without participants pays nothing, like a lone participant
-            p_c, p_d = realized_payoffs(jc, jd, params) if jc + jd else (0.0, 0.0)
+            p_c, p_d = realized_payoffs(jc, jd, params)
             pay[jc][jd] = jc * p_c + jd * p_d
             pi = (p_c, p_d, 0.0)
             for focal in range(3):
@@ -213,7 +212,9 @@ class _Laws:
                         )
         self.pay, self.adopt = pay, adopt
         cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
-        # the 6 pairs with focal != role come first: only they can move
+        # the 6 pairs with focal != role come first: only they can move. Move
+        # 2 * focal + i is then the exploration of focal to its i-th other
+        # strategy, in increasing order, which run_abm's per-event path reads
         moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
         pairs = moving + [(s, s) for s in range(3)]
 
@@ -360,14 +361,8 @@ def run_abm(
                         focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
                         w = uniforms[k]
                         k += 1
-                        if focal == 0:
-                            target = 1 if w < 0.5 else 2
-                        elif focal == 1:
-                            target = 0 if w < 0.5 else 2
-                        else:
-                            target = 0 if w < 0.5 else 1
                         counts[focal] -= 1
-                        counts[target] += 1
+                        counts[move_to[2 * focal + (w >= 0.5)]] += 1
                         break
 
                     if uniforms[k] >= pr:

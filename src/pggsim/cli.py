@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -53,9 +54,14 @@ def _write_outputs(out: Path, header, rows, plot=None) -> None:
 
     Every file is opened for writing, which creates or empties it, before any
     is filled. If a step fails, the files opened are removed: a failed command
-    leaves none of its files behind and removes none it could not open.
+    leaves none of its files behind and removes none it could not open. An
+    `out` that is its own SVG path is a config error, raised before any file
+    is opened.
     """
     paths = [out] if plot is None else [out, out.with_suffix(".svg")]
+    if plot is not None and paths[1] == out:
+        raise ConfigError(f"out {str(out)!r} is where plot writes the SVG; "
+                          "give out another suffix")
     opened = []
     try:
         for path in paths:
@@ -157,6 +163,9 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
 
 
 def cmd_equilibrium(a: float, b: float, c: float) -> int:
+    for flag, value in (("--a", a), ("--b", b), ("--c", c)):
+        if not math.isfinite(value):
+            raise ConfigError(f"invalid value for {flag}: {value!r}")
     row, col = game_core.equilibrium_profile_abc(a, b, c)
     matrix = game_core.Matrix2x2.abc_game(a, b, c)
     u_row, u_col = game_core.expected_payoffs(matrix, row, col)

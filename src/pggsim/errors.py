@@ -1,13 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NoGameError(RuntimeError):
-    """Raised when a round has no participants, so no game takes place.
-
-    Distinct from a zero payoff: a played game can also pay 0.
-    """
-
-
 class NoEventError(RuntimeError):
     """Raised when event selection is asked to pick from all-zero propensities."""
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGameError
-
 # Below this participant mass the group has effectively no coplayers and no
 # game takes place; all participant payoffs are 0.
 _PARTICIPANT_EPS = 1e-12
@@ -92,14 +90,12 @@ def realized_payoffs(n_c: int, n_d: int, params: PGGParams) -> tuple[float, floa
     r*c*(cooperating coplayers)/(S - 1). This is the division rule whose
     composition average equals expected_profile's P_d exactly.
 
-    A lone participant (S == 1) finds no coplayer and gets the stay-out
-    payoff 0. Entries for strategies absent from the round are returned as
-    0.0 and carry no meaning. Raises NoGameError when S == 0.
+    A round needs two participants: with S <= 1 no game takes place, and
+    every member gets the stay-out payoff 0. Entries for strategies absent
+    from the round are returned as 0.0 and carry no meaning.
     """
     s = n_c + n_d
-    if s == 0:
-        raise NoGameError("no participants: no game takes place")
-    if s == 1:
+    if s <= 1:
         return 0.0, 0.0
     rc = params.r * params.c
     p_c = rc * (n_c - 1) / (s - 1) - params.c - params.g if n_c > 0 else 0.0

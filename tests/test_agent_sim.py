@@ -226,8 +226,7 @@ def one_event_outcomes(params: PGGParams, lp: LearningParams):
                             continue
                         jc = kc + (focal == 0) + (role == 0)
                         jd = kd + (focal == 1) + (role == 1)
-                        # a round of loners only pays nothing
-                        pi = (*realized_payoffs(jc, jd, params), 0.0) if jc + jd else (0.0,) * 3
+                        pi = (*realized_payoffs(jc, jd, params), 0.0)
                         round_pay = jc * pi[0] + jd * pi[1]
                         adopt = 0.0
                         if role != focal:
@@ -407,6 +406,16 @@ class TestStateLaw:
                                       (3, stay @ stay_played + change @ move_played)):
                 want = sum(outcome[1] * outcome[column] for outcome in outcomes)
                 assert abs(got_value - want) <= 1e-12, (state, column)
+
+    def test_explorations_lead_the_move_table(self):
+        # run_abm's per-event path reads focal's exploration to its i-th other
+        # strategy as move 2 * focal + i
+        laws = agent_sim._Laws(EXACT_PARAMS, EXACT_LP)
+        for focal in range(3):
+            for i, target in enumerate(s for s in range(3) if s != focal):
+                j = 2 * focal + i
+                assert (laws.move_from[j], laws.move_to[j]) == (focal, target)
+                assert (laws.move_pay[j], laws.move_played[j]) == (0.0, 0)
 
 
 class TestSharedLaws:

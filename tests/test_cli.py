@@ -216,6 +216,18 @@ class TestErrorPaths:
         assert f"error: invalid value for {key}: '{raw}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["--a", "inf", "--b", "1", "--c", "0"], "--a", "inf"),
+        (["--a", "nan"], "--a", "nan"),
+        (["--b=-inf"], "--b", "-inf"),
+        (["--c", "nan"], "--c", "nan"),
+    ], ids=["a-inf", "a-nan", "b-neg-inf", "c-nan"])
+    def test_non_finite_equilibrium_flag(self, capsys, argv, flag, value):
+        assert main(["equilibrium"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid value for {flag}: {value}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["ode", "--set", "dt=5", "--set", "steps=50"],
         ["sweep", "--set", "steps=50", "--grid", "dt=0.01,5"],
@@ -358,6 +370,15 @@ class TestErrorPaths:
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.svg"]
         assert (tmp_path / "run.svg").is_dir()
+
+    @pytest.mark.parametrize("command", ["ode", "abm"])
+    def test_plot_beside_svg_out_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "run.svg"
+        argv = [command, "--set", "steps=5", "--set", "t=5", "--plot", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: out {str(out)!r} is where plot writes the SVG; give out another suffix\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failing_row_stream_leaves_no_file(self, tmp_path):
         def rows():

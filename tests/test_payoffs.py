@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from pggsim.errors import NoGameError
 from pggsim.payoffs import (
     PGGParams,
     SimplexState,
@@ -42,8 +41,7 @@ class TestRealizedPayoffs:
         assert realized_payoffs(0, 1, PGGParams()) == (0.0, 0.0)
 
     def test_no_participants(self):
-        with pytest.raises(NoGameError):
-            realized_payoffs(0, 0, PGGParams())
+        assert realized_payoffs(0, 0, PGGParams()) == (0.0, 0.0)
 
     def test_within_round_difference(self):
         # the defector sees one more cooperating coplayer than the cooperator,
