@@ -13,15 +13,20 @@ three strategy counts, and the law of one event depends on those counts alone.
 Sampling: most events keep the counts, so run_abm samples a whole stretch
 of events from the current state's one-event law at once (the n-fold way of
 Bortz, Kalos & Lebowitz, J. Comput. Phys. 17:10, 1975): a geometric number
-of events that keep the state, one multinomial over their outcomes (the skip
-and each round cell), which gives their payoff sum and played count, and one
-categorical draw of the event that changes the state. A run takes this path
-in the first _LAW_BUDGET distinct states it visits; in every other state the
-events are simulated one at a time until the state changes. Both paths
-sample the same law, and which one runs depends only on the run's own
-history, so the process is exact in distribution. The laws themselves belong
-to the game: they are built on first use and shared by every run of the same
-(params, lp), so what ran earlier in the process changes no output.
+of events that keep the state and one categorical draw of the event that
+changes it. The kept events' outcomes (the skip and each round cell) give
+the stretch's payoff sum and played count but never move the state, so they
+are drawn later: up to _BATCH_STRETCHES stretches at a time in one
+multinomial call, each from its own state's law. Given the state path, each
+stretch's outcomes are an independent multinomial, and drawing them later
+from fresh generator output keeps that joint law; only the random stream
+differs from drawing them at once. A run takes this path in the first
+_LAW_BUDGET distinct states it visits; in every other state the events are
+simulated one at a time until the state changes. Both paths sample the same
+law, and which one runs depends only on the run's own history, so the
+process is exact in distribution. The laws themselves belong to the game:
+they are built on first use and shared by every run of the same (params,
+lp), so what ran earlier in the process changes no output.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -148,12 +153,12 @@ def gillespie_select(propensities, z1: float) -> int:
 
 # Most distinct states a run takes the law path in, the first it visits. A law
 # is 88 float64 values at N=5 (704 bytes). At seed 1, abm-default (10^6 events
-# at M=100) visits 1,875 distinct states, in 43,316 law-path stretches and 1,729
-# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,428, in 1,348
-# stretches and 282,412 per-event visits. There, peak RSS was 34.3 MB with no
-# laws, 35.6 MB with this budget and 40.2 MB with a law for every visited state
-# (2-core x86 host). A run drops no law: that walk has so little locality that
-# an LRU cache of 2048 laws rebuilt 41.5k of them.
+# at M=100) visits 1,467 distinct states, in 49,494 law-path stretches and 896
+# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,848, in 1,350
+# stretches and 283,211 per-event visits. There, peak RSS of run_abm alone was
+# 34.3 MB with no laws, 36.7 MB with this budget and 43.3 MB with as many laws
+# as _LAW_BYTES allows (2-core x86 host). A run drops no law: that walk has so
+# little locality that an LRU cache of 2048 laws rebuilt 41.5k of them.
 _LAW_BUDGET = 1024
 # Bytes the laws of one game may take, their comb table included: a law holds
 # about 3 N^2 values, so at large N fewer laws fit. Within this bound every
@@ -161,6 +166,8 @@ _LAW_BUDGET = 1024
 _LAW_BYTES = 4 << 20
 # Events' worth of uniforms the per-event path draws at a time.
 _CHUNK_EVENTS = 128
+# Stretches whose kept outcomes run_abm draws in one multinomial call.
+_BATCH_STRETCHES = 1024
 
 
 @functools.lru_cache(maxsize=1)
@@ -332,8 +339,29 @@ def run_abm(
 
     gens = np.arange(generations + 1)
     freqs = np.empty((generations + 1, 3))
+    # each generation's summed round payoff until the end, then its mean
     means = np.zeros(generations + 1)
+    played = np.zeros(generations + 1)
     freqs[0] = (counts[0] / m, counts[1] / m, counts[2] / m)
+
+    # the generation, length and stay law of each stretch whose kept outcomes
+    # are not drawn yet: they never move the state, so they are drawn later,
+    # up to batch stretches in one multinomial call
+    held_gen: list[int] = []
+    held_run: list[int] = []
+    held_stay: list[np.ndarray] = []
+    batch = _BATCH_STRETCHES
+
+    def draw_held():
+        drawn = rng.multinomial(held_run, held_stay)
+        first = held_gen[0]
+        at = np.array(held_gen) - first
+        span = slice(first, held_gen[-1] + 1)
+        means[span] += np.bincount(at, drawn @ stay_pay)
+        played[span] += np.bincount(at, n * (np.array(held_run) - drawn[:, 0]))
+        held_gen.clear()
+        held_run.clear()
+        held_stay.clear()
 
     for gen in range(1, generations + 1):
         pay_sum = 0.0
@@ -424,9 +452,11 @@ def run_abm(
                 k += 1
                 run = left if x >= left else int(x)
             if run:
-                drawn = rng.multinomial(run, stay)
-                pay_sum += float(drawn.dot(stay_pay))
-                pay_count += n * (run - int(drawn[0]))
+                held_gen.append(gen)
+                held_run.append(run)
+                held_stay.append(stay)
+                if len(held_run) == batch:
+                    draw_held()
                 left -= run
                 if not left:
                     break
@@ -440,6 +470,11 @@ def run_abm(
             left -= 1
 
         freqs[gen] = (counts[0] / m, counts[1] / m, counts[2] / m)
-        means[gen] = pay_sum / pay_count if pay_count else 0.0
+        # add, not assign: a draw_held within this generation has added to it
+        means[gen] += pay_sum
+        played[gen] += pay_count
 
+    if held_run:
+        draw_held()
+    np.divide(means, played, out=means, where=played > 0)
     return AbmTrajectory(generations=gens, frequencies=freqs, mean_payoffs=means)

@@ -49,19 +49,23 @@ def _write_csv(path: Path, header, rows) -> None:
             out.writelines(itertools.starmap(line.format, rows))
 
 
+def _svg_path(out: Path) -> Path:
+    """Where --plot writes the SVG beside the CSV `out`; a config error if that is `out`."""
+    svg = out.with_suffix(".svg")
+    if svg == out:
+        raise ConfigError(f"out {str(out)!r} is where plot writes the SVG; "
+                          "give out another suffix")
+    return svg
+
+
 def _write_outputs(out: Path, header, rows, plot=None) -> None:
     """Write the CSV `out` and, given a trajectory to `plot`, its SVG beside it.
 
     Every file is opened for writing, which creates or empties it, before any
     is filled. If a step fails, the files opened are removed: a failed command
-    leaves none of its files behind and removes none it could not open. An
-    `out` that is its own SVG path is a config error, raised before any file
-    is opened.
+    leaves none of its files behind and removes none it could not open.
     """
-    paths = [out] if plot is None else [out, out.with_suffix(".svg")]
-    if plot is not None and paths[1] == out:
-        raise ConfigError(f"out {str(out)!r} is where plot writes the SVG; "
-                          "give out another suffix")
+    paths = [out] if plot is None else [out, _svg_path(out)]
     opened = []
     try:
         for path in paths:
@@ -166,6 +170,9 @@ def cmd_equilibrium(a: float, b: float, c: float) -> int:
     for flag, value in (("--a", a), ("--b", b), ("--c", c)):
         if not math.isfinite(value):
             raise ConfigError(f"invalid value for {flag}: {value!r}")
+    if not all(map(math.isfinite, (a + b - 2 * c, a - c, b - c))):
+        raise ConfigError(f"--a {a!r}, --b {b!r} and --c {c!r} overflow: "
+                          "a + b - 2c, a - c and b - c must be finite")
     row, col = game_core.equilibrium_profile_abc(a, b, c)
     matrix = game_core.Matrix2x2.abc_game(a, b, c)
     u_row, u_col = game_core.expected_payoffs(matrix, row, col)
@@ -221,6 +228,9 @@ def main(argv=None) -> int:
             return cmd_equilibrium(args.a, args.b, args.c)
 
         cfg = load_config(args.config, args.set)
+        # ode and abm plot; fail here rather than after their work
+        if cfg.plot and cfg.out and args.command in ("ode", "abm"):
+            _svg_path(Path(cfg.out))
 
         if args.command == "ode":
             return cmd_ode(cfg)

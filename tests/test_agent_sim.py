@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import math
@@ -94,6 +95,29 @@ def final_counts(traj, m: int) -> tuple[int, ...]:
     return tuple(round(f * m) for f in traj.frequencies[-1])
 
 
+@contextlib.contextmanager
+def sampler(budget=None, batch=None):
+    """Run with the module's law budget and stretch batch replaced, each unless None."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("_LAW_BUDGET", budget), ("_BATCH_STRETCHES", batch)):
+            if value is not None:
+                mp.setattr(agent_sim, name, value)
+        yield
+
+
+# Sampling paths by name. A budget of 0 runs every event one at a time, and
+# at the exact tests' settings a budget of 2 mixes that with the law path. A
+# batch of 1 or 2 draws the held kept outcomes within the generation that
+# holds them and, over several generations, across generation ends.
+PATHS = {
+    "law": {},
+    "per-event": {"budget": 0},
+    "mixed": {"budget": 2},
+    "law-batch1": {"batch": 1},
+    "law-batch2": {"batch": 2},
+}
+
+
 class TestPopulation:
     def test_from_counts_and_back(self):
         pop = Population(3, 4, 5)
@@ -125,6 +149,14 @@ class TestPlayRound:
             params = PGGParams(M=20, N=5, c=1, r=3, g=g)
             traj = run_abm(Population(20, 0, 0), params, lp, 3, seed=0)
             assert (traj.mean_payoffs[1:] == payoff).all()
+
+    @pytest.mark.parametrize("path", ["law-batch1", "law-batch2", "per-event"])
+    def test_monomorphic_rounds_on_each_path(self, path):
+        # on the law path each generation is one stretch, held until a draw
+        # within the generation (batch 1) or after its end (batch 2)
+        with sampler(**PATHS[path]):
+            self.test_all_loner_population()
+            self.test_all_cooperator_population()
 
     def test_population_size_checked(self):
         with pytest.raises(ValueError, match="params.M"):
@@ -292,28 +324,22 @@ def chi2_survival(x: float, df: int) -> float:
 
 # The exact one-generation tests: M events from (2, 2, 2) at these settings.
 # All 28 states fit in the default law budget, so that path gives every
-# state a law; a budget of 0 runs every event one at a time, and a budget of
-# 2 mixes the two paths.
+# state a law.
 EXACT_PARAMS = PGGParams(M=6, N=3, r=2.5)
 EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
 
 
-def one_generation(params, lp, start, runs, budget=None):
-    """Final (n_c, n_d) and mean_payoff of one generation for seeds 0 .. runs - 1.
-
-    budget, unless None, replaces the module's law budget for these runs.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(agent_sim, "_LAW_BUDGET", budget)
-        trajs = [run_abm(Population(*start), params, lp, 1, seed) for seed in range(runs)]
+def one_generation(params, lp, start, runs):
+    """Final (n_c, n_d) and mean_payoff of one generation for seeds 0 .. runs - 1."""
+    trajs = [run_abm(Population(*start), params, lp, 1, seed) for seed in range(runs)]
     finals = [final_counts(traj, params.M)[:2] for traj in trajs]
     return finals, np.array([traj.mean_payoffs[1] for traj in trajs])
 
 
 @functools.cache
-def exact_sample(budget):
-    return one_generation(EXACT_PARAMS, EXACT_LP, (2, 2, 2), 20_000, budget)
+def exact_sample(path):
+    with sampler(**PATHS[path]):
+        return one_generation(EXACT_PARAMS, EXACT_LP, (2, 2, 2), 20_000)
 
 
 def assert_matches_exact_law(params, lp, start, finals):
@@ -364,15 +390,15 @@ class TestExactOneGenerationLaw:
         # all 28 states are reachable; the rarest expects about 4.5 counts,
         # few enough small bins for the chi-square approximation
         assert expected.min() > 4
-        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(None)[0])
+        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample("law")[0])
 
-    @pytest.mark.parametrize("budget", [0, 2], ids=["per-event", "mixed"])
-    def test_one_generation_matches_exact_law_on_each_path(self, budget):
-        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(budget)[0])
+    @pytest.mark.parametrize("path", [p for p in PATHS if p != "law"])
+    def test_one_generation_matches_exact_law_on_each_path(self, path):
+        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[0])
 
-    @pytest.mark.parametrize("budget", [None, 0, 2], ids=["law", "per-event", "mixed"])
-    def test_mean_payoff_matches_exact_law(self, budget):
-        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(budget)[1])
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_mean_payoff_matches_exact_law(self, path):
+        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[1])
 
 
 class TestStateLaw:
@@ -432,9 +458,7 @@ class TestSharedLaws:
 
     def run(self, name, budget, seed):
         params, lp, start = self.GAMES[name]
-        with pytest.MonkeyPatch.context() as mp:
-            if budget is not None:
-                mp.setattr(agent_sim, "_LAW_BUDGET", budget)
+        with sampler(budget=budget):
             traj = run_abm(Population(*start), params, lp, 30, seed)
         return traj.frequencies.tobytes() + traj.mean_payoffs.tobytes()
 
@@ -524,10 +548,10 @@ class TestLawBytes:
 class TestSamplingPaths:
     """Edge cases on the law path (every state gets a law) and on the per-event path."""
 
-    @pytest.fixture(params=[None, 0], ids=["law", "per-event"])
-    def path(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(agent_sim, "_LAW_BUDGET", request.param)
+    @pytest.fixture(params=["law", "law-batch1", "law-batch2", "per-event"])
+    def path(self, request):
+        with sampler(**PATHS[request.param]):
+            yield
 
     @pytest.mark.parametrize("params, lp, start", [
         # pe = 1: every event explores, so every event changes the state
@@ -547,18 +571,6 @@ class TestSamplingPaths:
         traj = run_abm(Population(12, 10, 8), params, LearningParams(1.0, 0.0, 0.0), 50, seed=4)
         assert (traj.frequencies == traj.frequencies[0]).all()
         assert (traj.mean_payoffs == 0.0).all()
-
-    def test_monomorphic_rounds_pay_exactly_per_event(self, monkeypatch):
-        # TestPlayRound runs the same cases on the law path
-        monkeypatch.setattr(agent_sim, "_LAW_BUDGET", 0)
-        lp = LearningParams(beta=1.0, pr=1.0, pe=0.0)
-        traj = run_abm(Population(0, 0, 20), PGGParams(M=20, N=5), lp, 3, seed=0)
-        assert (traj.mean_payoffs == 0.0).all()
-        assert final_counts(traj, 20) == (0, 0, 20)
-        for g, payoff in ((0.0, 2.0), (0.5, 1.5)):
-            params = PGGParams(M=20, N=5, c=1, r=3, g=g)
-            traj = run_abm(Population(20, 0, 0), params, lp, 3, seed=0)
-            assert (traj.mean_payoffs[1:] == payoff).all()
 
 
 class TestRunAbm:

@@ -151,19 +151,21 @@ class TestGoldenOutputs:
     """Output digests recorded before the ABM loop became table-driven.
 
     The two abm digests were recorded again when run_abm began to sample
-    whole stretches of events from per-state laws, which changed its random
-    stream on purpose. A rerun-equality check cannot see a change in the random stream or the
-    number formatting; these can. A change that alters a stream on purpose
-    updates the digest and says so.
+    whole stretches of events from per-state laws, and once more when it
+    began to draw the stretches' kept outcomes in batches after the state
+    path; each changed its random stream on purpose. A rerun-equality check
+    cannot see a change in the random stream or the number formatting; these
+    can. A change that alters a stream on purpose updates the digest and
+    says so.
     """
 
     @pytest.mark.parametrize("argv, digest", [
         (["abm", "--seed", "3", "--set", "t=300", "--set", "M=50"],
-         "4b692bc8830ab2ed561d017dbeeaba082122d6c0ff1efbbea6843a75916da070"),
+         "90fc723ca8e3d6c50241b21870c157fea3303d35c60b681789142de9c77a1ea3"),
         (["abm", "--seed", "5", "--set", "M=20", "--set", "N=4", "--set", "r=2",
           "--set", "g=0", "--set", "beta=5", "--set", "pe=0.2", "--set", "pr=0.5",
           "--set", "t=2000"],
-         "016789fbc94c45284ca1b03516498d4186a75fe68d9d889bda45bc988c4a324e"),
+         "01dbf4293fe92fd93eeb519817a987320775bebbac8cfc9e16196095ce66763a"),
         (["ode", "--set", "steps=300"],
          "89d7a7995c7f1276bd6a8a8f67689bc3f746837ec6e9edf744a1ecad94ae84fc"),
         (["sweep", "--set", "steps=100", "--grid", "g=0.5,3.0"],
@@ -226,6 +228,17 @@ class TestErrorPaths:
         assert main(["equilibrium"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: invalid value for {flag}: {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, values", [
+        (["--a", "1e308", "--b", "1e308", "--c", "0"], "--a 1e+308, --b 1e+308 and --c 0.0"),
+        (["--a", "1e308", "--b", "1e300", "--c=-1e308"], "--a 1e+308, --b 1e+300 and --c -1e+308"),
+    ], ids=["sum", "difference"])
+    def test_overflowing_equilibrium_flags(self, capsys, argv, values):
+        assert main(["equilibrium"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {values} overflow: "
+                                "a + b - 2c, a - c and b - c must be finite\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -379,6 +392,25 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"error: out {str(out)!r} is where plot writes the SVG; give out another suffix\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ode", "abm"])
+    def test_plot_beside_svg_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        def never(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(pggsim.cli, "integrate", never)
+        monkeypatch.setattr(pggsim.cli, "run_abm", never)
+        assert main([command, "--plot", "--out", str(tmp_path / "run.svg")]) == 2
+        assert "is where plot writes the SVG" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_ignores_plot(self, tmp_path):
+        out = tmp_path / "run.svg"
+        assert main(["sweep", "--set", "steps=5", "--grid", "r=2.5", "--plot",
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("M,N,")
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_failing_row_stream_leaves_no_file(self, tmp_path):
         def rows():
