@@ -25,8 +25,10 @@ _LAW_BUDGET distinct states it visits; in every other state the events are
 simulated one at a time until the state changes. Both paths sample the same
 law, and which one runs depends only on the run's own history, so the
 process is exact in distribution. The laws themselves belong to the game:
-they are built on first use and shared by every run of the same (params,
-lp), so what ran earlier in the process changes no output.
+a run takes each admitted state's law from the game's store or builds it,
+and at its end adds its laws to the store if both together stay within its
+budget, so a game keeps no more laws than one run builds. A law's bits do
+not depend on when it was built, so what ran earlier changes no output.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -120,7 +121,8 @@ def fermi_probability(pi_focal: float, pi_role: float, beta: float) -> float:
     """Probability that the focal adopts the role's strategy: logistic in beta*(pi_role - pi_focal)."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    t = beta * (pi_role - pi_focal)
+    # at beta = 0 a payoff gap that overflows to inf would give 0 * inf = NaN
+    t = beta * (pi_role - pi_focal) if beta else 0.0
     # exp is only ever taken of a nonpositive argument, so it cannot overflow
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
@@ -160,8 +162,10 @@ def gillespie_select(propensities, z1: float) -> int:
 # as _LAW_BYTES allows (2-core x86 host). A run drops no law: that walk has so
 # little locality that an LRU cache of 2048 laws rebuilt 41.5k of them.
 _LAW_BUDGET = 1024
-# Bytes the laws of one game may take, their comb table included: a law holds
-# about 3 N^2 values, so at large N fewer laws fit. Within this bound every
+# Bytes the laws one run builds may take, their comb table included: a law
+# holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes more
+# than its values: about 1.1 KB at N=5 (tracemalloc, M=100 and M=1000), with its
+# two array headers, tuple and dict slot. Within this bound every
 # C(M - 2, N - 2) is below 1e277, so no weight overflows.
 _LAW_BYTES = 4 << 20
 # Events' worth of uniforms the per-event path draws at a time.
@@ -174,7 +178,7 @@ _BATCH_STRETCHES = 1024
 class _Laws:
     """Lookup tables and one-event laws of one game, shared by all its runs.
 
-    Equal (params, lp) give the same object; only its cache of laws changes.
+    Equal (params, lp) give the same object; only its store of laws changes.
 
     pay[jc][jd] is the summed payoff of a round with jc cooperators and jd
     defectors. adopt[3 * focal + role][jc][jd] is the probability that the
@@ -192,11 +196,12 @@ class _Laws:
     move_to[j] agent and carries round payoff move_pay[j] over move_played[j]
     agents.
 
-    law(n_c, n_d) is the law of that state: p_change, the probability that
-    an event changes the state, the read-only arrays stay, the distribution
-    of the outcome of an event that keeps it, and cum, the cumulative masses
-    of the moves. The budget most recently used laws are kept, as many as
-    fit in _LAW_BYTES.
+    law(n_c, n_d) builds the law of that state, and keeps nothing: p_change,
+    the probability that an event changes the state, the read-only arrays
+    stay, the distribution of the outcome of an event that keeps it, and
+    cum, the cumulative masses of the moves. budget is the number of laws
+    that fit in _LAW_BYTES. laws maps states to the laws runs have built,
+    at most one run's budget of them (see run_abm).
     """
 
     def __init__(self, params: PGGParams, lp: LearningParams):
@@ -217,6 +222,13 @@ class _Laws:
                         adopt[3 * focal + role][jc][jd] = fermi_probability(
                             pi[focal], pi[role], lp.beta
                         )
+        # a generation's payoff sum is at most M times the largest |pay|, and a
+        # NaN or infinite member payoff makes its pay entry NaN or infinite
+        if not math.isfinite(m * float(np.abs(pay).max())):
+            raise ValueError(
+                f"c={params.c}, r={params.r} and g={params.g} overflow: round payoffs "
+                f"summed over a generation of M={m} events must be finite"
+            )
         self.pay, self.adopt = pay, adopt
         cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
         # the 6 pairs with focal != role come first: only they can move. Move
@@ -252,10 +264,7 @@ class _Laws:
         row_bytes = 8 * (len(cells) + 1 + len(moves))
         table_bytes = 8 * (m + 3) * (n - 1)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
-        # the cache reaches the game only weakly, so a replaced game is freed at
-        # once; `law` works while its caller holds the game
-        law = weakref.WeakMethod(self._law)
-        self.law = functools.lru_cache(maxsize=self.budget)(lambda n_c, n_d: law()(n_c, n_d))
+        self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
         if not self.budget:
             return
         # comb[(2 + x) * (N - 1) + j] = C(x, j) for x <= M and j <= N - 2, the
@@ -287,7 +296,7 @@ class _Laws:
         explore = self.explore_scale * c[self.focal[:6]]
         return stay, np.concatenate((explore, (mass[:6] * self.take).ravel()))
 
-    def _law(self, n_c: int, n_d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    def law(self, n_c: int, n_d: int) -> tuple[float, np.ndarray, np.ndarray]:
         stay, change = self.masses(n_c, n_d)
         kept = float(stay.sum())
         cum = np.cumsum(change)
@@ -324,10 +333,11 @@ def run_abm(
     pe = lp.pe
     counts = list(initial.counts())
     game = _Laws(params, lp)
-    pay, adopt, law_of = game.pay, game.adopt, game.law
+    pay, adopt, law_of, shared = game.pay, game.adopt, game.law, game.laws
     stay_pay, move_from, move_to = game.stay_pay, game.move_from, game.move_to
     move_pay, move_played = game.move_pay, game.move_played
-    # read per run, not kept in the shared game: the path depends on this run alone
+    # the states this run admits to the law path, with their laws: the path
+    # depends on this run alone, whatever the game's store holds
     laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
     budget = min(_LAW_BUDGET, game.budget)
 
@@ -371,7 +381,7 @@ def run_abm(
             state = (counts[0], counts[1])
             law = laws.get(state)
             if law is None and len(laws) < budget:
-                law = laws[state] = law_of(*state)
+                law = laws[state] = shared.get(state) or law_of(*state)
 
             if law is None:
                 # no law: one event at a time until the state changes
@@ -382,25 +392,22 @@ def run_abm(
                         k = 0
                     u = uniforms[k]
                     k += 1
-                    if u < pe:
-                        # exploration: uniform focal, uniform over the other two strategies
-                        v = uniforms[k] * m
+                    if u >= pe:
+                        if uniforms[k] >= pr:
+                            k += 1
+                            continue
                         k += 1
-                        focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
+
+                    v = uniforms[k] * m
+                    k += 1
+                    focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
+                    if u < pe:
+                        # exploration: uniform over the focal's other two strategies
                         w = uniforms[k]
                         k += 1
                         counts[focal] -= 1
                         counts[move_to[2 * focal + (w >= 0.5)]] += 1
                         break
-
-                    if uniforms[k] >= pr:
-                        k += 1
-                        continue
-                    k += 1
-
-                    v = uniforms[k] * m
-                    k += 1
-                    focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
 
                     # role: a distinct agent, so the focal's strategy count drops by one
                     r0 = counts[0] - (focal == 0)
@@ -476,5 +483,8 @@ def run_abm(
 
     if held_run:
         draw_held()
+    # the game keeps no more laws than one run may build
+    if len(shared.keys() | laws.keys()) <= budget:
+        shared.update(laws)
     np.divide(means, played, out=means, where=played > 0)
     return AbmTrajectory(generations=gens, frequencies=freqs, mean_payoffs=means)

@@ -1,8 +1,7 @@
 import contextlib
 import functools
-import gc
 import math
-import weakref
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ class TestFermiProbability:
 
     def test_zero_selection_intensity(self):
         assert fermi_probability(-4.0, 9.0, 0.0) == 0.5
+        # a payoff gap that overflows to inf
+        assert fermi_probability(-1e308, 1e308, 0.0) == 0.5
 
     def test_logistic_value(self):
         assert fermi_probability(0.0, 2.0, 1.0) == 1.0 / (1.0 + math.exp(-2.0))
@@ -103,6 +104,18 @@ def sampler(budget=None, batch=None):
             if value is not None:
                 mp.setattr(agent_sim, name, value)
         yield
+
+
+@contextlib.contextmanager
+def counting_builds(game):
+    """Record the states whose laws runs of this game build while the block runs."""
+    built = []
+    law = game.law
+    game.law = lambda *state: built.append(state) or law(*state)
+    try:
+        yield built
+    finally:
+        del game.law  # the wrapper holds the game: drop it, or the game outlives its cache
 
 
 # Sampling paths by name. A budget of 0 runs every event one at a time, and
@@ -476,12 +489,25 @@ class TestSharedLaws:
         # a game first built under a law budget of 0 still keeps the laws it builds later
         self.run("M20", 0, seed=1)
         game = agent_sim._Laws(params, lp)
-        self.run("M20", None, seed=1)
-        built = game.law.cache_info().misses
-        assert built > 0
-        self.run("M20", None, seed=1)
+        with counting_builds(game) as built:
+            self.run("M20", None, seed=1)
+        assert built
+        with counting_builds(game) as built:
+            self.run("M20", None, seed=1)
         assert agent_sim._Laws(params, lp) is game
-        assert game.law.cache_info().misses == built
+        assert built == []
+
+    def test_store_holds_at_most_one_runs_budget(self):
+        params, lp, _ = self.GAMES["M20"]
+        seeds = range(5)
+        agent_sim._Laws.cache_clear()
+        warm = [self.run("M20", 8, seed) for seed in seeds]
+        assert 0 < len(agent_sim._Laws(params, lp).laws) <= 8
+        fresh = []
+        for seed in seeds:
+            agent_sim._Laws.cache_clear()
+            fresh.append(self.run("M20", 8, seed))
+        assert warm == fresh
 
     def test_shared_laws_are_read_only(self):
         params, lp, _ = self.GAMES["M6"]
@@ -491,17 +517,14 @@ class TestSharedLaws:
                 array[0] = 0.5
 
     def test_replaced_game_is_freed_at_once(self):
-        gc.disable()
-        try:
-            self.run("M20", None, seed=1)
-            game = agent_sim._Laws(*self.GAMES["M20"][:2])
-            assert game.law.cache_info().currsize > 0
-            old = weakref.ref(game)
-            del game
-            self.run("M6", None, seed=1)
-            assert old() is None
-        finally:
-            gc.enable()
+        self.run("M20", None, seed=1)
+        game = agent_sim._Laws(*self.GAMES["M20"][:2])
+        assert game.laws
+        self.run("M6", None, seed=1)
+        # once another game is cached, this name alone holds the game, as one
+        # holds a fresh object, so deleting it frees the game with no collector
+        alone = object()
+        assert sys.getrefcount(game) == sys.getrefcount(alone)
 
 
 class TestLawBytes:
@@ -538,10 +561,11 @@ class TestLawBytes:
 
     def test_game_past_the_bound_runs_per_event(self):
         params, lp = PGGParams(M=10**6, N=5), LearningParams(pr=0.0, pe=1e-5)
-        traj = run_abm(Population(400_000, 300_000, 300_000), params, lp, 1, seed=3)
         game = agent_sim._Laws(params, lp)
+        with counting_builds(game) as built:
+            traj = run_abm(Population(400_000, 300_000, 300_000), params, lp, 1, seed=3)
         assert game.budget == 0
-        assert game.law.cache_info().misses == 0
+        assert built == [] and not game.laws
         assert traj.frequencies[1].tolist() != traj.frequencies[0].tolist()
 
 
@@ -581,6 +605,12 @@ class TestRunAbm:
         assert len(traj) == 1
         assert traj.frequencies[0].tolist() == [1 / 3, 1 / 3, 1 / 3]
         assert traj.mean_payoffs[0] == 0.0
+
+    def test_overflowing_payoffs_are_rejected(self):
+        # every round payoff is finite, but M of the largest overflow
+        params = PGGParams(c=1e306, r=4.0, g=0.0)
+        with pytest.raises(ValueError, match=r"^c=1e\+306, r=4.0 and g=0.0 overflow"):
+            run_abm(Population(90, 5, 5), params, LearningParams(), 3, seed=1)
 
     def test_seed_determinism(self):
         params = PGGParams(M=50, N=5)

@@ -218,6 +218,22 @@ class TestErrorPaths:
         assert f"error: invalid value for {key}: '{raw}'" in capsys.readouterr().err
         assert not out.exists()
 
+    # a member payoff that is NaN (inf * 0), a round payoff that is -inf, and a
+    # generation's payoff sum past the largest float
+    @pytest.mark.parametrize("sets, names", [
+        (["c=1e308", "t=20"], "c=1e+308, r=3.0 and g=0.5"),
+        (["beta=1e308", "g=1e308", "t=5"], "c=1.0, r=3.0 and g=1e+308"),
+        (["c=1e306", "r=4", "g=0", "t=3"], "c=1e+306, r=4.0 and g=0.0"),
+    ], ids=["member-nan", "round-inf", "generation-inf"])
+    def test_overflowing_abm_payoffs(self, tmp_path, capsys, sets, names):
+        out = tmp_path / "run.csv"
+        argv = ["abm", "--out", str(out)] + [arg for s in sets for arg in ("--set", s)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {names} overflow: round payoffs summed over a generation "
+            "of M=100 events must be finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["--a", "inf", "--b", "1", "--c", "0"], "--a", "inf"),
         (["--a", "nan"], "--a", "nan"),
