@@ -354,24 +354,21 @@ def run_abm(
     played = np.zeros(generations + 1)
     freqs[0] = (counts[0] / m, counts[1] / m, counts[2] / m)
 
-    # the generation, length and stay law of each stretch whose kept outcomes
+    # the (generation, length, stay law) of each stretch whose kept outcomes
     # are not drawn yet: they never move the state, so they are drawn later,
     # up to batch stretches in one multinomial call
-    held_gen: list[int] = []
-    held_run: list[int] = []
-    held_stay: list[np.ndarray] = []
+    held: list[tuple[int, int, np.ndarray]] = []
     batch = _BATCH_STRETCHES
 
     def draw_held():
+        held_gen, held_run, held_stay = zip(*held)
         drawn = rng.multinomial(held_run, held_stay)
         first = held_gen[0]
         at = np.array(held_gen) - first
         span = slice(first, held_gen[-1] + 1)
         means[span] += np.bincount(at, drawn @ stay_pay)
         played[span] += np.bincount(at, n * (np.array(held_run) - drawn[:, 0]))
-        held_gen.clear()
-        held_run.clear()
-        held_stay.clear()
+        held.clear()
 
     for gen in range(1, generations + 1):
         pay_sum = 0.0
@@ -459,10 +456,8 @@ def run_abm(
                 k += 1
                 run = left if x >= left else int(x)
             if run:
-                held_gen.append(gen)
-                held_run.append(run)
-                held_stay.append(stay)
-                if len(held_run) == batch:
+                held.append((gen, run, stay))
+                if len(held) == batch:
                     draw_held()
                 left -= run
                 if not left:
@@ -481,7 +476,7 @@ def run_abm(
         means[gen] += pay_sum
         played[gen] += pay_count
 
-    if held_run:
+    if held:
         draw_held()
     # the game keeps no more laws than one run may build
     if len(shared.keys() | laws.keys()) <= budget:
