@@ -38,6 +38,7 @@ runs (sweeps, seed batches) must simply use distinct seeds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -95,6 +96,8 @@ class LearningParams:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         for name, v in (("pr", self.pr), ("pe", self.pe)):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -121,6 +124,8 @@ def fermi_probability(pi_focal: float, pi_role: float, beta: float) -> float:
     """Probability that the focal adopts the role's strategy: logistic in beta*(pi_role - pi_focal)."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     # at beta = 0 a payoff gap that overflows to inf would give 0 * inf = NaN
     t = beta * (pi_role - pi_focal) if beta else 0.0
     # exp is only ever taken of a nonpositive argument, so it cannot overflow
@@ -168,7 +173,8 @@ _LAW_BUDGET = 1024
 # two array headers, tuple and dict slot. Within this bound every
 # C(M - 2, N - 2) is below 1e277, so no weight overflows.
 _LAW_BYTES = 4 << 20
-# Events' worth of uniforms the per-event path draws at a time.
+# Events' worth of uniforms run_abm draws from its generator at a time. Every
+# uniform is read once, in order, so the chunk size affects speed only.
 _CHUNK_EVENTS = 128
 # Stretches whose kept outcomes run_abm draws in one multinomial call.
 _BATCH_STRETCHES = 1024
@@ -341,11 +347,10 @@ def run_abm(
     laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
     budget = min(_LAW_BUDGET, game.budget)
 
-    # uniforms as a Python list: indexing a numpy array makes a scalar per read
+    # one endless stream of uniforms, drawn a chunk at a time as Python floats:
+    # indexing a numpy array makes a scalar per read
     chunk = (n + 3) * min(m, _CHUNK_EVENTS)
-    last = chunk - (n + 3)  # one event or stretch reads at most n + 3 of them
-    uniforms = rng.random(chunk).tolist()
-    k = 0
+    uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
 
     gens = np.arange(generations + 1)
     freqs = np.empty((generations + 1, 3))
@@ -384,33 +389,22 @@ def run_abm(
                 # no law: one event at a time until the state changes
                 while left:
                     left -= 1
-                    if k > last:
-                        uniforms = rng.random(chunk).tolist()
-                        k = 0
-                    u = uniforms[k]
-                    k += 1
-                    if u >= pe:
-                        if uniforms[k] >= pr:
-                            k += 1
-                            continue
-                        k += 1
+                    u = next(uniforms)
+                    if u >= pe and next(uniforms) >= pr:
+                        continue
 
-                    v = uniforms[k] * m
-                    k += 1
+                    v = next(uniforms) * m
                     focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
                     if u < pe:
                         # exploration: uniform over the focal's other two strategies
-                        w = uniforms[k]
-                        k += 1
                         counts[focal] -= 1
-                        counts[move_to[2 * focal + (w >= 0.5)]] += 1
+                        counts[move_to[2 * focal + (next(uniforms) >= 0.5)]] += 1
                         break
 
                     # role: a distinct agent, so the focal's strategy count drops by one
                     r0 = counts[0] - (focal == 0)
                     r1 = counts[1] - (focal == 1)
-                    v = uniforms[k] * (m - 1)
-                    k += 1
+                    v = next(uniforms) * (m - 1)
                     role = 0 if v < r0 else (1 if v < r0 + r1 else 2)
 
                     # round group: focal, role, and N - 2 others drawn without replacement
@@ -420,8 +414,7 @@ def run_abm(
                     jd = (focal == 1) + (role == 1)
                     remaining = m - 2
                     for _ in range(n - 2):
-                        v = uniforms[k] * remaining
-                        k += 1
+                        v = next(uniforms) * remaining
                         if v < rem0:
                             jc += 1
                             rem0 -= 1
@@ -433,18 +426,13 @@ def run_abm(
                     pay_sum += pay[jc][jd]
                     pay_count += n
 
-                    adopted = uniforms[k] < adopt[3 * focal + role][jc][jd]
-                    k += 1
-                    if adopted:
+                    if next(uniforms) < adopt[3 * focal + role][jc][jd]:
                         counts[focal] -= 1
                         counts[role] += 1
                         break
                 continue
 
             # a stretch: the events that keep the state, then the one that changes it
-            if k > last:
-                uniforms = rng.random(chunk).tolist()
-                k = 0
             p, stay, cum = law
             if p == 0.0:
                 run = left
@@ -452,8 +440,7 @@ def run_abm(
                 run = 0
             else:
                 # geometric by inversion; 1 - u lies in (0, 1]
-                x = math.log(1.0 - uniforms[k]) / math.log1p(-p)
-                k += 1
+                x = math.log(1.0 - next(uniforms)) / math.log1p(-p)
                 run = left if x >= left else int(x)
             if run:
                 held.append((gen, run, stay))
@@ -463,8 +450,7 @@ def run_abm(
                 if not left:
                     break
             # the first move whose cumulative mass reaches a point of (0, total]
-            j = bisect_left(cum, (1.0 - uniforms[k]) * cum[-1])
-            k += 1
+            j = bisect_left(cum, (1.0 - next(uniforms)) * cum[-1])
             counts[move_from[j]] -= 1
             counts[move_to[j]] += 1
             pay_sum += move_pay[j]

@@ -176,8 +176,8 @@ def cmd_equilibrium(a: float, b: float, c: float) -> int:
     row, col = game_core.equilibrium_profile_abc(a, b, c)
     matrix = game_core.Matrix2x2.abc_game(a, b, c)
     u_row, u_col = game_core.expected_payoffs(matrix, row, col)
-    print(f"mixed weights: row=({row.p:.12g}, {1 - row.p:.12g}) "
-          f"column=({col.p:.12g}, {1 - col.p:.12g})")
+    print(f"mixed weights: row=({row.p:.12g}, {row.q:.12g}) "
+          f"column=({col.p:.12g}, {col.q:.12g})")
     print(f"expected payoffs: row={u_row:.12g} column={u_col:.12g}")
     return 0
 

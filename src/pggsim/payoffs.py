@@ -46,6 +46,9 @@ class PGGParams:
             raise ValueError(f"c must be positive, got c={self.c}")
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got g={self.g}")
+        for name, v in (("c", self.c), ("g", self.g)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {name}={v}")
         if not (0.0 <= self.u <= 1.0):
             raise ValueError(f"u must be in [0, 1], got u={self.u}")
         if not (1.0 < self.r < self.N):

@@ -151,9 +151,11 @@ class TestGoldenOutputs:
     """Output digests recorded before the ABM loop became table-driven.
 
     The two abm digests were recorded again when run_abm began to sample
-    whole stretches of events from per-state laws, and once more when it
-    began to draw the stretches' kept outcomes in batches after the state
-    path; each changed its random stream on purpose. A rerun-equality check
+    whole stretches of events from per-state laws, once more when it began
+    to draw the stretches' kept outcomes in batches after the state path,
+    and a third time when it began to read its uniforms from one endless
+    stream, so that no chunk's end is thrown away; each changed its random
+    stream on purpose, with the same law. A rerun-equality check
     cannot see a change in the random stream or the number formatting; these
     can. A change that alters a stream on purpose updates the digest and
     says so.
@@ -161,11 +163,11 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["abm", "--seed", "3", "--set", "t=300", "--set", "M=50"],
-         "90fc723ca8e3d6c50241b21870c157fea3303d35c60b681789142de9c77a1ea3"),
+         "ab5888ec97b9ce055504d278c917184190f8574cdc582463a4c37395c7ed5d39"),
         (["abm", "--seed", "5", "--set", "M=20", "--set", "N=4", "--set", "r=2",
           "--set", "g=0", "--set", "beta=5", "--set", "pe=0.2", "--set", "pr=0.5",
           "--set", "t=2000"],
-         "01dbf4293fe92fd93eeb519817a987320775bebbac8cfc9e16196095ce66763a"),
+         "620f023ed28f66aff30a988cbd10b2581f06b610b5e65b8bccd4cf71de30471b"),
         (["ode", "--set", "steps=300"],
          "89d7a7995c7f1276bd6a8a8f67689bc3f746837ec6e9edf744a1ecad94ae84fc"),
         (["sweep", "--set", "steps=100", "--grid", "g=0.5,3.0"],
@@ -192,6 +194,12 @@ class TestEquilibriumCommand:
         assert "0.333333333333" in output
         assert "0.666666666667" in output
         assert output.count("0.666666666667") >= 3  # both payoffs + two weights
+
+    def test_second_weights_are_exact(self, capsys):
+        # the complement 1 - p of p = 1e13 / (1e13 + 1) is 1.00031094519e-13
+        assert main(["equilibrium", "--a", "1", "--b", "1e13", "--c", "0"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "mixed weights: row=(1, 1e-13) column=(1e-13, 1)\n")
 
     def test_invalid_family_is_config_error(self, capsys):
         assert main(["equilibrium", "--a", "1", "--b", "1", "--c", "1"]) == 2

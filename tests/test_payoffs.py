@@ -173,6 +173,13 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="g must"):
             PGGParams(g=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("c", math.inf), ("g", math.nan), ("g", math.inf),
+    ], ids=["c-inf", "g-nan", "g-inf"])
+    def test_non_finite_costs_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {name}={value}$"):
+            PGGParams(**{name: value})
+
 
 class TestSimplexState:
     def test_accepts_valid(self):
