@@ -347,8 +347,7 @@ def run_abm(
     laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
     budget = min(_LAW_BUDGET, game.budget)
 
-    # one endless stream of uniforms, drawn a chunk at a time as Python floats:
-    # indexing a numpy array makes a scalar per read
+    # uniforms as Python floats, chunk by chunk: indexing numpy makes a scalar per read
     chunk = (n + 3) * min(m, _CHUNK_EVENTS)
     uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
 
