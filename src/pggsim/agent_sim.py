@@ -21,10 +21,11 @@ multinomial call, each from its own state's law. Given the state path, each
 stretch's outcomes are an independent multinomial, and drawing them later
 from fresh generator output keeps that joint law; only the random stream
 differs from drawing them at once. A run takes this path in the first
-_LAW_BUDGET distinct states it visits; in every other state the events are
-simulated one at a time until the state changes. Both paths sample the same
-law, and which one runs depends only on the run's own history, so the
-process is exact in distribution. The laws themselves belong to the game:
+distinct states it visits, at most _LAW_BUDGET of them and no more than fit
+in _LAW_BYTES; in every other state the events are simulated one at a time
+until the state changes. Both paths sample the same law, and which one runs
+depends only on the run's own history, so the process is exact in
+distribution. The laws themselves belong to the game:
 a run takes each admitted state's law from the game's store or builds it,
 and at its end adds its laws to the store if both together stay within its
 budget, so a game keeps no more laws than one run builds. A law's bits do
@@ -165,7 +166,12 @@ def gillespie_select(propensities, z1: float) -> int:
 # stretches and 283,211 per-event visits. There, peak RSS of run_abm alone was
 # 34.3 MB with no laws, 36.7 MB with this budget and 43.3 MB with as many laws
 # as _LAW_BYTES allows (2-core x86 host). A run drops no law: that walk has so
-# little locality that an LRU cache of 2048 laws rebuilt 41.5k of them.
+# little locality that an LRU cache of 2048 laws rebuilt 41.5k of them. The
+# count stays beside _LAW_BYTES because a law's size grows as N^2, so no one
+# byte bound fits both small and large groups: at M=100, pe=1e-3 (seeds 1-4,
+# 10^4 generations) a 1 MiB bound alone keeps 592 laws at N=8 instead of 1024,
+# and a run simulates 27.7k events one at a time instead of 11.3k, while at
+# N=5 it keeps 1,484 laws, more than this count.
 _LAW_BUDGET = 1024
 # Bytes the laws one run builds may take, their comb table included: a law
 # holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes more
@@ -198,22 +204,22 @@ class _Laws:
     jc + jd <= N. An event changes the state by one of the 6 exploration
     moves, which play no round, or by an adoption after a round: one move
     per (focal, role) pair with focal != role and per composition of the
-    other N - 2 group members. Move j turns one move_from[j] agent into a
-    move_to[j] agent and carries round payoff move_pay[j] over move_played[j]
-    agents.
+    other N - 2 group members. moves[j] is (from, to, round_pay, played): move
+    j turns one `from` agent into a `to` agent and carries round payoff
+    round_pay over `played` agents.
 
     law(n_c, n_d) builds the law of that state, and keeps nothing: p_change,
     the probability that an event changes the state, the read-only arrays
     stay, the distribution of the outcome of an event that keeps it, and
     cum, the cumulative masses of the moves. budget is the number of laws
     that fit in _LAW_BYTES. laws maps states to the laws runs have built,
-    at most one run's budget of them (see run_abm).
+    at most one run's budget of them (see run_abm). A game whose budget is 0
+    holds only what the per-event path reads: pay, adopt and the 6
+    exploration moves.
     """
 
     def __init__(self, params: PGGParams, lp: LearningParams):
         m, n = params.M, params.N
-        self.m = m
-        self.comb_width = n - 1
         rests = [(kc, kd, n - 2 - kc - kd) for kc in range(n - 1) for kd in range(n - 1 - kc)]
         cells = [(jc, jd) for jc in range(n + 1) for jd in range(n + 1 - jc)]
         pay = [[0.0] * (n + 1) for _ in range(n + 1)]
@@ -236,14 +242,24 @@ class _Laws:
                 f"summed over a generation of M={m} events must be finite"
             )
         self.pay, self.adopt = pay, adopt
-        cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
         # the 6 pairs with focal != role come first: only they can move. Move
         # 2 * focal + i is then the exploration of focal to its i-th other
         # strategy, in increasing order, which run_abm's per-event path reads
         moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
-        pairs = moving + [(s, s) for s in range(3)]
+        self.moves = [(focal, to, 0.0, 0) for focal, to in moving]
 
-        # round cell and adoption probability of each pair and rest composition
+        # a law's stay row, skip included, and the cumulative masses of its moves
+        row_bytes = 8 * (len(cells) + 7 + 6 * len(rests))
+        table_bytes = 8 * (m + 3) * (n - 1)
+        self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
+        self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
+        if not self.budget:
+            return
+
+        # round cell and adoption probability of each pair and rest
+        # composition, and the adoption moves in the same order
+        cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
+        pairs = moving + [(s, s) for s in range(3)]
         cell = []
         keep = []
         for focal, role in pairs:
@@ -252,27 +268,19 @@ class _Laws:
                 jd = kd + (focal == 1) + (role == 1)
                 cell.append(cell_of[jc, jd])
                 keep.append(1.0 - adopt[3 * focal + role][jc][jd])
+                if role != focal:
+                    self.moves.append((focal, role, pay[jc][jd], n))
         self.cell = np.array(cell)
         self.keep = np.array(keep).reshape(9, len(rests))
         self.take = 1.0 - self.keep[:6]
         self.stay_pay = np.array([0.0] + [pay[jc][jd] for jc, jd in cells])
-        moves = moving + [pair for pair in moving for _ in rests]
-        self.move_from = [focal for focal, _ in moves]
-        self.move_to = [to for _, to in moves]
-        self.move_pay = [0.0] * 6 + self.stay_pay[cell[: 6 * len(rests)]].tolist()
-        self.move_played = [0] * 6 + [n] * (6 * len(rests))
+        self.m = m
+        self.comb_width = n - 1
         self.focal = np.array([focal for focal, _ in pairs])
         self.role = np.array([role for _, role in pairs])
         self.same = self.focal == self.role
         self.explore_scale = lp.pe / (2 * m)
         self.skip = (1.0 - lp.pe) * (1.0 - lp.pr)
-
-        row_bytes = 8 * (len(cells) + 1 + len(moves))
-        table_bytes = 8 * (m + 3) * (n - 1)
-        self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
-        self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
-        if not self.budget:
-            return
         # comb[(2 + x) * (N - 1) + j] = C(x, j) for x <= M and j <= N - 2, the
         # hypergeometric weights of the rest of the group; the two rows of
         # zeros before x = 0 take the rest counts -1 and -2 of pairs that
@@ -339,9 +347,7 @@ def run_abm(
     pe = lp.pe
     counts = list(initial.counts())
     game = _Laws(params, lp)
-    pay, adopt, law_of, shared = game.pay, game.adopt, game.law, game.laws
-    stay_pay, move_from, move_to = game.stay_pay, game.move_from, game.move_to
-    move_pay, move_played = game.move_pay, game.move_played
+    pay, adopt, moves, law_of, shared = game.pay, game.adopt, game.moves, game.law, game.laws
     # the states this run admits to the law path, with their laws: the path
     # depends on this run alone, whatever the game's store holds
     laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
@@ -370,7 +376,7 @@ def run_abm(
         first = held_gen[0]
         at = np.array(held_gen) - first
         span = slice(first, held_gen[-1] + 1)
-        means[span] += np.bincount(at, drawn @ stay_pay)
+        means[span] += np.bincount(at, drawn @ game.stay_pay)
         played[span] += np.bincount(at, n * (np.array(held_run) - drawn[:, 0]))
         held.clear()
 
@@ -397,7 +403,7 @@ def run_abm(
                     if u < pe:
                         # exploration: uniform over the focal's other two strategies
                         counts[focal] -= 1
-                        counts[move_to[2 * focal + (next(uniforms) >= 0.5)]] += 1
+                        counts[moves[2 * focal + (next(uniforms) >= 0.5)][1]] += 1
                         break
 
                     # role: a distinct agent, so the focal's strategy count drops by one
@@ -450,10 +456,11 @@ def run_abm(
                     break
             # the first move whose cumulative mass reaches a point of (0, total]
             j = bisect_left(cum, (1.0 - next(uniforms)) * cum[-1])
-            counts[move_from[j]] -= 1
-            counts[move_to[j]] += 1
-            pay_sum += move_pay[j]
-            pay_count += move_played[j]
+            source, target, round_pay, round_played = moves[j]
+            counts[source] -= 1
+            counts[target] += 1
+            pay_sum += round_pay
+            pay_count += round_played
             left -= 1
 
         freqs[gen] = (counts[0] / m, counts[1] / m, counts[2] / m)

@@ -36,17 +36,16 @@ _SWEEP_PARAM_COLUMNS = (
 _SWEEP_KEYS = ("N", "c", "r", "g", "u", "mode", "density", "dt", "steps", "x0", "y0", "z0")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write the header and the rows; floats as {:.11e} (12 significant digits),
-    everything else as {}. Each column keeps the type it has in the first row."""
+def _csv_lines(header, rows):
+    """The header line, then one line per row; floats as {:.11e} (12 significant
+    digits), everything else as {}. Each column keeps the type it has in the first row."""
+    yield ",".join(header) + "\n"
     rows = iter(rows)
     first = next(rows, None)
-    with path.open("w") as out:
-        out.write(",".join(header) + "\n")
-        if first is not None:
-            line = ",".join("{:.11e}" if isinstance(v, float) else "{}" for v in first) + "\n"
-            out.write(line.format(*first))
-            out.writelines(itertools.starmap(line.format, rows))
+    if first is not None:
+        line = ",".join("{:.11e}" if isinstance(v, float) else "{}" for v in first) + "\n"
+        yield line.format(*first)
+        yield from itertools.starmap(line.format, rows)
 
 
 def _svg_path(out: Path) -> Path:
@@ -58,8 +57,8 @@ def _svg_path(out: Path) -> Path:
     return svg
 
 
-def _write_outputs(out: Path, header, rows, plot=None) -> None:
-    """Write the CSV `out` and, given a trajectory to `plot`, its SVG beside it.
+def _write_outputs(out: Path, lines, plot=None) -> None:
+    """Write the text `lines` to `out` and, given a trajectory to `plot`, its SVG beside it.
 
     Every file is opened for writing, which creates or empties it, before any
     is filled. If a step fails, the files opened are removed: a failed command
@@ -72,7 +71,8 @@ def _write_outputs(out: Path, header, rows, plot=None) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.open("w").close()
             opened.append(path)
-        _write_csv(out, header, rows)
+        with out.open("w") as file:
+            file.writelines(lines)
         if plot is not None:
             plot_simplex(plot, paths[1])
     except BaseException:
@@ -89,8 +89,9 @@ def cmd_ode(cfg: RunConfig) -> int:
     traj = integrate(
         cfg.initial_state(), cfg.pgg_params(), cfg.dynamics_mode(), cfg.dt, cfg.steps
     )
-    _write_outputs(_out_path(cfg, "ode.csv"), ("t", "x", "y", "z"),
-                   zip(traj.times.tolist(), *traj.frequencies.T.tolist()),
+    _write_outputs(_out_path(cfg, "ode.csv"),
+                   _csv_lines(("t", "x", "y", "z"),
+                              zip(traj.times.tolist(), *traj.frequencies.T.tolist())),
                    traj if cfg.plot else None)
     return 0
 
@@ -100,18 +101,16 @@ def cmd_abm(cfg: RunConfig) -> int:
         cfg.initial_population(), cfg.pgg_params(), cfg.learning_params(), cfg.t, cfg.seed
     )
     _write_outputs(_out_path(cfg, "abm.csv"),
-                   ("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
-                   zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
-                       traj.mean_payoffs.tolist()),
+                   _csv_lines(("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
+                              zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
+                                  traj.mean_payoffs.tolist())),
                    traj if cfg.plot else None)
     return 0
 
 
 def cmd_graph(cfg: RunConfig) -> int:
     graph = generate_er(cfg.graph_params())
-    out = _out_path(cfg, "graph.txt")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(edge_list_text(graph))
+    _write_outputs(_out_path(cfg, "graph.txt"), [edge_list_text(graph)])
     return 0
 
 
@@ -162,7 +161,8 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
             *st.time_means, *st.amplitude, *st.oscillation_counts,
             st.fixated if st.fixated is not None else -1,
         ])
-    _write_outputs(_out_path(cfg, "sweep.csv"), _SWEEP_PARAM_COLUMNS + stat_cols, rows)
+    _write_outputs(_out_path(cfg, "sweep.csv"),
+                   _csv_lines(_SWEEP_PARAM_COLUMNS + stat_cols, rows))
     return 0
 
 

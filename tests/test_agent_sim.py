@@ -151,6 +151,14 @@ class TestPopulation:
         pop = Population.from_fractions(100, 0.9, 0.05, 0.05)
         assert pop.counts() == (90, 5, 5)
 
+    @pytest.mark.parametrize("counts, message", [
+        ((-1, 1, 1), "nonnegative"),
+        ((0, 0, 0), "empty"),
+    ])
+    def test_invalid_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            Population(*counts)
+
     def test_fraction_sum_checked(self):
         with pytest.raises(ValueError, match="sum to 1"):
             Population.from_fractions(10, 0.5, 0.4, 0.4)
@@ -303,13 +311,19 @@ def one_event_law(params: PGGParams, lp: LearningParams):
     return states, index, law
 
 
-def mean_payoff_moments(params: PGGParams, lp: LearningParams, start):
-    """Exact mean and variance of one generation's mean_payoff from start.
+@functools.cache
+def mean_payoff_moments(params: PGGParams, lp: LearningParams, start, generation=1):
+    """Exact mean and variance of the mean_payoff of generation `generation` from start.
 
     A dynamic program over the M events carries the joint law of (state,
     summed round payoff, agents in the rounds); mean_payoff is the ratio of
-    the last two, or 0 when no round was played.
+    the last two, or 0 when no round was played. It starts from the law of
+    the state after generation - 1 generations, the start row of the
+    one-event matrix raised to the power M * (generation - 1), so each
+    state's one-generation moments are weighted by that row.
     """
+    states, index, law = one_event_law(params, lp)
+    weights = np.linalg.matrix_power(law, params.M * (generation - 1))[index[start]]
     outcomes = one_event_outcomes(params, lp)
     merged = {}
     for state, out in outcomes.items():
@@ -317,7 +331,7 @@ def mean_payoff_moments(params: PGGParams, lp: LearningParams, start):
         for nxt, p, round_pay, played in out:
             law[nxt, round_pay, played] = law.get((nxt, round_pay, played), 0.0) + p
         merged[state] = list(law.items())
-    dist = {(start, 0.0, 0): 1.0}
+    dist = {(state, 0.0, 0): float(w) for state, w in zip(states, weights) if w > 0}
     for _ in range(params.M):
         step = {}
         for (state, pay_sum, played), p in dist.items():
@@ -352,26 +366,26 @@ EXACT_PARAMS = PGGParams(M=6, N=3, r=2.5)
 EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
 
 
-def one_generation(params, lp, start, runs):
-    """Final (n_c, n_d) and mean_payoff of one generation for seeds 0 .. runs - 1."""
-    trajs = [run_abm(Population(*start), params, lp, 1, seed) for seed in range(runs)]
+def one_generation(params, lp, start, runs, generations=1):
+    """Final (n_c, n_d) and last mean_payoff of `generations` generations for seeds 0 .. runs - 1."""
+    trajs = [run_abm(Population(*start), params, lp, generations, seed) for seed in range(runs)]
     finals = [final_counts(traj, params.M)[:2] for traj in trajs]
-    return finals, np.array([traj.mean_payoffs[1] for traj in trajs])
+    return finals, np.array([traj.mean_payoffs[-1] for traj in trajs])
 
 
 @functools.cache
-def exact_sample(path):
+def exact_sample(path, generations=1, runs=20_000):
     with sampler(**PATHS[path]):
-        return one_generation(EXACT_PARAMS, EXACT_LP, (2, 2, 2), 20_000)
+        return one_generation(EXACT_PARAMS, EXACT_LP, (2, 2, 2), runs, generations)
 
 
-def assert_matches_exact_law(params, lp, start, finals):
-    """Chi-square test of final states against the exact law of M events from start.
+def assert_matches_exact_law(params, lp, start, finals, generations=1):
+    """Chi-square test of final states against the exact law of M * generations events from start.
 
     Bins that expect fewer than 4 counts are pooled into one.
     """
     states, index, law = one_event_law(params, lp)
-    expected = np.linalg.matrix_power(law, params.M)[index[start]] * len(finals)
+    expected = np.linalg.matrix_power(law, params.M * generations)[index[start]] * len(finals)
     observed = np.zeros(len(states))
     for state in finals:
         observed[index[state]] += 1
@@ -387,12 +401,25 @@ def assert_matches_exact_law(params, lp, start, finals):
     assert p_value > 1e-3, f"chi2={chi2:.1f} over {len(expected)} bins, p={p_value:.2g}"
 
 
-def assert_mean_payoff_matches(params, lp, start, payoffs):
-    """The sample mean of mean_payoff lies within 4 standard errors of the exact mean."""
-    mean, var = mean_payoff_moments(params, lp, start)
+def assert_mean_payoff_matches(params, lp, start, payoffs, generation=1):
+    """The sample mean of generation's mean_payoff lies within 4 standard errors of the exact mean."""
+    mean, var = mean_payoff_moments(params, lp, start, generation)
     assert abs(payoffs.mean() - mean) <= 4 * math.sqrt(var / len(payoffs)), (
         f"sample {payoffs.mean():.6f}, exact {mean:.6f} +- {math.sqrt(var / len(payoffs)):.2g}"
     )
+
+
+def assert_payoff_variance_matches(params, lp, start, payoffs, generation):
+    """The sample variance of generation's mean_payoff lies within 4 standard errors of the exact one.
+
+    The standard error sqrt((m4 - s^4) / n) takes the fourth central moment
+    m4 from the sample.
+    """
+    _, var = mean_payoff_moments(params, lp, start, generation)
+    dev = payoffs - payoffs.mean()
+    sample = float(dev.var(ddof=1))
+    se = math.sqrt(((dev ** 4).mean() - sample ** 2) / len(payoffs))
+    assert abs(sample - var) <= 4 * se, f"sample {sample:.6f}, exact {var:.6f} +- {se:.2g}"
 
 
 class TestExactOneGenerationLaw:
@@ -424,6 +451,26 @@ class TestExactOneGenerationLaw:
         assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[1])
 
 
+class TestExactThreeGenerationLaw:
+    """Three generations from (2, 2, 2) against the exact law of 3 M events.
+
+    On these paths stretches end at generation ends, and their kept outcomes
+    are drawn within the generation (batch 1) or between refills of the
+    uniform stream (chunk 1).
+    """
+
+    @pytest.mark.parametrize("path", ["law-batch1", "mixed-chunk1"])
+    def test_final_counts_match_exact_law(self, path):
+        finals = exact_sample(path, generations=3, runs=10_000)[0]
+        assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), finals, generations=3)
+
+    @pytest.mark.parametrize("path", ["law-batch1", "mixed-chunk1"])
+    def test_third_mean_payoff_matches_exact_law(self, path):
+        payoffs = exact_sample(path, generations=3, runs=10_000)[1]
+        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), payoffs, generation=3)
+        assert_payoff_variance_matches(EXACT_PARAMS, EXACT_LP, (2, 2), payoffs, generation=3)
+
+
 class TestStateLaw:
     """run_abm's per-state law against the oracle one_event_outcomes."""
 
@@ -433,15 +480,14 @@ class TestStateLaw:
     ], ids=["M6-N3", "M20-N4"])
     def test_matches_oracle(self, params, lp):
         laws = agent_sim._Laws(params, lp)
-        move_pay = np.array(laws.move_pay)
-        move_played = np.array(laws.move_played)
+        move_from, move_to, move_pay, move_played = map(np.array, zip(*laws.moves))
         for state, outcomes in one_event_outcomes(params, lp).items():
             expected = {}
             for nxt, p, _, _ in outcomes:
                 expected[nxt] = expected.get(nxt, 0.0) + p
             stay, change = laws.masses(*state)
             got = {state: stay.sum()}
-            for mass, focal, to in zip(change, laws.move_from, laws.move_to):
+            for mass, focal, to in zip(change, move_from, move_to):
                 counts = [state[0], state[1], params.M - sum(state)]
                 counts[focal] -= 1
                 counts[to] += 1
@@ -463,8 +509,7 @@ class TestStateLaw:
         for focal in range(3):
             for i, target in enumerate(s for s in range(3) if s != focal):
                 j = 2 * focal + i
-                assert (laws.move_from[j], laws.move_to[j]) == (focal, target)
-                assert (laws.move_pay[j], laws.move_played[j]) == (0.0, 0)
+                assert laws.moves[j] == (focal, target, 0.0, 0)
 
 
 class TestSharedLaws:
@@ -553,6 +598,12 @@ class TestLawBytes:
         assert agent_sim._Laws(PGGParams(M=m, N=n, r=1.5), LearningParams()).budget == 1
         assert agent_sim._Laws(PGGParams(M=m + 1, N=n, r=1.5), LearningParams()).budget == 0
 
+    def test_game_past_the_bound_holds_only_the_per_event_tables(self):
+        game = agent_sim._Laws(PGGParams(M=self.largest_m(5) + 1, N=5, r=1.5), LearningParams())
+        assert game.budget == 0
+        assert vars(game).keys() == {"pay", "adopt", "moves", "budget", "laws"}
+        assert len(game.moves) == 6
+
     def test_weights_stay_finite_within_the_bound(self):
         def log10_comb(x, j):
             return (math.lgamma(x + 1) - math.lgamma(j + 1) - math.lgamma(x - j + 1)) / math.log(10)
@@ -616,6 +667,10 @@ class TestRunAbm:
         assert len(traj) == 1
         assert traj.frequencies[0].tolist() == [1 / 3, 1 / 3, 1 / 3]
         assert traj.mean_payoffs[0] == 0.0
+
+    def test_negative_generations_rejected(self):
+        with pytest.raises(ValueError, match="^generations must be nonnegative, got -1$"):
+            run_abm(Population(10, 10, 10), PGGParams(M=30, N=5), LearningParams(), -1, seed=0)
 
     def test_overflowing_payoffs_are_rejected(self):
         # every round payoff is finite, but M of the largest overflow

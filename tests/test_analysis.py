@@ -90,6 +90,16 @@ class TestTrajectoryDistance:
         with pytest.raises(ValueError, match="grid"):
             trajectory_distance(a, b)
 
+    def test_abm_runs_share_the_generation_grid(self):
+        params, lp = PGGParams(M=30, N=5), LearningParams(pe=0.05)
+        a, b = (run_abm(Population(10, 10, 10), params, lp, 40, seed) for seed in (1, 2))
+        expected = np.abs(a.frequencies - b.frequencies).sum(axis=1).mean()
+        assert trajectory_distance(a, b) == pytest.approx(expected, rel=1e-12)
+        assert trajectory_distance(a, b) > 0
+        shorter = run_abm(Population(10, 10, 10), params, lp, 39, seed=1)
+        with pytest.raises(ValueError, match="grid"):
+            trajectory_distance(a, shorter)
+
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(19)
         times = np.arange(30.0)

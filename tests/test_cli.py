@@ -397,6 +397,15 @@ class TestErrorPaths:
         target.write_text("x")
         # using the existing file as a directory component fails with OSError
         assert main(["ode", "--set", "steps=10", "--out", str(target / "y.csv")]) == 1
+        # so does opening an existing directory as the output file, in every command
+        out = tmp_path / "run.csv"
+        out.mkdir()
+        for argv in (["ode", "--set", "steps=10"], ["abm", "--set", "t=5"],
+                     ["sweep", "--set", "steps=10", "--grid", "r=2.5"], ["graph"]):
+            assert main(argv + ["--out", str(out)]) == 1
+            assert "Is a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [target, out]
+        assert list(out.iterdir()) == [] and target.read_text() == "x"
 
     @pytest.mark.parametrize("command", ["ode", "abm"])
     def test_unwritable_plot_leaves_no_csv(self, tmp_path, capsys, command):
@@ -445,8 +454,21 @@ class TestErrorPaths:
         traj = Trajectory(times=np.zeros(1), frequencies=np.array([[1.0, 0.0, 0.0]]))
         for plot in (None, traj):
             with pytest.raises(RuntimeError, match="row failed"):
-                pggsim.cli._write_outputs(tmp_path / "run.csv", ("a", "b"), rows(), plot)
+                pggsim.cli._write_outputs(tmp_path / "run.csv",
+                                          pggsim.cli._csv_lines(("a", "b"), rows()), plot)
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["abm", "--set", "t=-1"], "t (generations) must be nonnegative, got -1"),
+        (["ode", "--set", "dt=0"], "dt must be positive, got 0.0"),
+        (["ode", "--set", "steps=0"], "steps must be at least 1, got 0"),
+        (["ode", "--set", "plot=maybe"], "invalid value for plot: 'maybe'"),
+    ], ids=["t-negative", "dt-zero", "steps-zero", "plot-maybe"])
+    def test_out_of_range_value(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["ode", "abm", "graph"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
