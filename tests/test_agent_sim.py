@@ -367,7 +367,7 @@ EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
 
 
 def one_generation(params, lp, start, runs, generations=1):
-    """Final (n_c, n_d) and last mean_payoff of `generations` generations for seeds 0 .. runs - 1."""
+    """Final (n_c, n_d) and last mean_payoff of `generations` generations, seeds 0 .. runs - 1."""
     trajs = [run_abm(Population(*start), params, lp, generations, seed) for seed in range(runs)]
     finals = [final_counts(traj, params.M)[:2] for traj in trajs]
     return finals, np.array([traj.mean_payoffs[-1] for traj in trajs])
@@ -402,7 +402,7 @@ def assert_matches_exact_law(params, lp, start, finals, generations=1):
 
 
 def assert_mean_payoff_matches(params, lp, start, payoffs, generation=1):
-    """The sample mean of generation's mean_payoff lies within 4 standard errors of the exact mean."""
+    """The mean of generation's mean_payoff lies within 4 standard errors of the exact mean."""
     mean, var = mean_payoff_moments(params, lp, start, generation)
     assert abs(payoffs.mean() - mean) <= 4 * math.sqrt(var / len(payoffs)), (
         f"sample {payoffs.mean():.6f}, exact {mean:.6f} +- {math.sqrt(var / len(payoffs)):.2g}"
@@ -410,7 +410,7 @@ def assert_mean_payoff_matches(params, lp, start, payoffs, generation=1):
 
 
 def assert_payoff_variance_matches(params, lp, start, payoffs, generation):
-    """The sample variance of generation's mean_payoff lies within 4 standard errors of the exact one.
+    """The variance of generation's mean_payoff lies within 4 standard errors of the exact one.
 
     The standard error sqrt((m4 - s^4) / n) takes the fourth central moment
     m4 from the sample.
