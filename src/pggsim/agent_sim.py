@@ -194,19 +194,22 @@ class _Laws:
 
     pay[jc][jd] is the summed payoff of a round with jc cooperators and jd
     defectors. adopt[3 * focal + role][jc][jd] is the probability that the
-    focal adopts the role's strategy after that round; it is 0 when the two
-    already share a strategy. Both come from realized_payoffs and
-    fermi_probability alone.
+    focal adopts the role's strategy after that round. Both come from
+    realized_payoffs and fermi_probability alone. A round has only the
+    cells (jc, jd) with jc + jd <= N, so the tables are ragged: row jc holds
+    the cells (jc, 0), ..., (jc, N - jc) and nothing more. The three pairs
+    whose focal and role share a strategy never adopt, so they share one
+    table of zeros, which the per-event path still reads.
 
     An event keeps the state by the skip or by a round after which the focal
     does not adopt: stay_pay[0] is the skip's round payoff (none), and
-    stay_pay[1 + c] the summed payoff of round cell c, one per (jc, jd) with
-    jc + jd <= N. An event changes the state by one of the 6 exploration
-    moves, which play no round, or by an adoption after a round: one move
-    per (focal, role) pair with focal != role and per composition of the
-    other N - 2 group members. moves[j] is (from, to, round_pay, played): move
-    j turns one `from` agent into a `to` agent and carries round payoff
-    round_pay over `played` agents.
+    stay_pay[1 + c] the summed payoff of round cell c, the cells numbered in
+    the order of pay's rows. An event changes the state by one of the 6
+    exploration moves, which play no round, or by an adoption after a round:
+    one move per (focal, role) pair with focal != role and per composition
+    of the other N - 2 group members. moves[j] is (from, to, round_pay,
+    played): move j turns one `from` agent into a `to` agent and carries
+    round payoff round_pay over `played` agents.
 
     law(n_c, n_d) builds the law of that state, and keeps nothing: p_change,
     the probability that an event changes the state, the read-only arrays
@@ -220,36 +223,34 @@ class _Laws:
 
     def __init__(self, params: PGGParams, lp: LearningParams):
         m, n = params.M, params.N
-        rests = [(kc, kd, n - 2 - kc - kd) for kc in range(n - 1) for kd in range(n - 1 - kc)]
         cells = [(jc, jd) for jc in range(n + 1) for jd in range(n + 1 - jc)]
-        pay = [[0.0] * (n + 1) for _ in range(n + 1)]
-        adopt = [[[0.0] * (n + 1) for _ in range(n + 1)] for _ in range(9)]
+        # the 6 pairs with focal != role come first: only they can move. Move
+        # 2 * focal + i is then the exploration of focal to its i-th other
+        # strategy, in increasing order, which run_abm's per-event path reads
+        moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
+        zero = [[0.0] * (n + 1 - jc) for jc in range(n + 1)]
+        pay = [[] for _ in range(n + 1)]
+        adopt = [zero if role == focal else [[] for _ in range(n + 1)]
+                 for focal in range(3) for role in range(3)]
         for jc, jd in cells:
             p_c, p_d = realized_payoffs(jc, jd, params)
-            pay[jc][jd] = jc * p_c + jd * p_d
+            pay[jc].append(jc * p_c + jd * p_d)
             pi = (p_c, p_d, 0.0)
-            for focal in range(3):
-                for role in range(3):
-                    if role != focal:
-                        adopt[3 * focal + role][jc][jd] = fermi_probability(
-                            pi[focal], pi[role], lp.beta
-                        )
+            for focal, role in moving:
+                adopt[3 * focal + role][jc].append(fermi_probability(pi[focal], pi[role], lp.beta))
         # a generation's payoff sum is at most M times the largest |pay|, and a
         # NaN or infinite member payoff makes its pay entry NaN or infinite
-        if not math.isfinite(m * float(np.abs(pay).max())):
+        if not all(math.isfinite(m * v) for row in pay for v in row):
             raise ValueError(
                 f"c={params.c}, r={params.r} and g={params.g} overflow: round payoffs "
                 f"summed over a generation of M={m} events must be finite"
             )
         self.pay, self.adopt = pay, adopt
-        # the 6 pairs with focal != role come first: only they can move. Move
-        # 2 * focal + i is then the exploration of focal to its i-th other
-        # strategy, in increasing order, which run_abm's per-event path reads
-        moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
         self.moves = [(focal, to, 0.0, 0) for focal, to in moving]
 
-        # a law's stay row, skip included, and the cumulative masses of its moves
-        row_bytes = 8 * (len(cells) + 7 + 6 * len(rests))
+        # a law's stay row, skip included, and the cumulative masses of its
+        # 6 explorations and 6 N (N - 1) / 2 adoption moves
+        row_bytes = 8 * (len(cells) + 7 + 3 * n * (n - 1))
         table_bytes = 8 * (m + 3) * (n - 1)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
         self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
@@ -258,6 +259,7 @@ class _Laws:
 
         # round cell and adoption probability of each pair and rest
         # composition, and the adoption moves in the same order
+        rests = [(kc, kd, n - 2 - kc - kd) for kc in range(n - 1) for kd in range(n - 1 - kc)]
         cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
         pairs = moving + [(s, s) for s in range(3)]
         cell = []
@@ -273,7 +275,7 @@ class _Laws:
         self.cell = np.array(cell)
         self.keep = np.array(keep).reshape(9, len(rests))
         self.take = 1.0 - self.keep[:6]
-        self.stay_pay = np.array([0.0] + [pay[jc][jd] for jc, jd in cells])
+        self.stay_pay = np.array([0.0, *itertools.chain.from_iterable(pay)])
         self.m = m
         self.comb_width = n - 1
         self.focal = np.array([focal for focal, _ in pairs])

@@ -82,7 +82,7 @@ def _write_outputs(out: Path, lines, plot=None) -> None:
 
 
 def _out_path(cfg: RunConfig, default: str) -> Path:
-    return Path(cfg.out) if cfg.out else Path(default)
+    return Path(cfg.out or default)
 
 
 def cmd_ode(cfg: RunConfig) -> int:

@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.out is not None and not self.out.strip():
+            raise ConfigError(f"out must name a file, got {self.out!r}")
 
     def pgg_params(self) -> PGGParams:
         return PGGParams(M=self.M, N=self.N, c=self.c, r=self.r, g=self.g, u=self.u)

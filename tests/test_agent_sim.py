@@ -348,15 +348,36 @@ def mean_payoff_moments(params: PGGParams, lp: LearningParams, start, generation
 
 
 def chi2_survival(x: float, df: int) -> float:
-    """P(X >= x) for a chi-square variable, from the series of the lower incomplete gamma."""
+    """P(X >= x) for a chi-square variable, from the regularized incomplete gamma Q(df/2, x/2).
+
+    Below x/2 = df/2 + 1 it is 1 minus the lower gamma's series; above, where
+    that difference would lose every digit, the upper gamma's continued
+    fraction, evaluated by the modified Lentz method.
+    """
     a, h = df / 2, x / 2
-    term = total = 1.0 / a
+    scale = math.exp(a * math.log(h) - h - math.lgamma(a))
+    if h < a + 1:
+        term = total = 1.0 / a
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= h / (a + k)
+            total += term
+        return 1.0 - total * scale
+    b = h + 1 - a
+    c, d = math.inf, 1 / b
+    fraction = d
     k = 0
-    while term > 1e-17 * total:
+    delta = 0.0
+    while abs(delta - 1.0) > 1e-15:
         k += 1
-        term *= h / (a + k)
-        total += term
-    return 1.0 - total * math.exp(a * math.log(h) - h - math.lgamma(a))
+        step = -k * (k - a)
+        b += 2
+        d = 1 / (step * d + b)
+        c = b + step / c
+        delta = c * d
+        fraction *= delta
+    return fraction * scale
 
 
 # The exact one-generation tests: M events from (2, 2, 2) at these settings.
@@ -367,10 +388,13 @@ EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
 
 
 def one_generation(params, lp, start, runs, generations=1):
-    """Final (n_c, n_d) and last mean_payoff of `generations` generations, seeds 0 .. runs - 1."""
+    """Final (n_c, n_d) and mean_payoffs of `generations` generations, seeds 0 .. runs - 1.
+
+    The mean_payoffs of generation g are column g - 1.
+    """
     trajs = [run_abm(Population(*start), params, lp, generations, seed) for seed in range(runs)]
     finals = [final_counts(traj, params.M)[:2] for traj in trajs]
-    return finals, np.array([traj.mean_payoffs[-1] for traj in trajs])
+    return finals, np.array([traj.mean_payoffs[1:] for traj in trajs])
 
 
 @functools.cache
@@ -427,6 +451,13 @@ class TestExactOneGenerationLaw:
         # closed form for two degrees of freedom, and the median of one
         assert chi2_survival(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-12)
         assert chi2_survival(0.454936423119572, 1) == pytest.approx(0.5, rel=1e-9)
+        # closed forms for even degrees of freedom, far below 1 - P's last digit
+        assert chi2_survival(200.0, 2) == pytest.approx(math.exp(-100), rel=1e-12)
+        assert chi2_survival(60.0, 4) == pytest.approx(31 * math.exp(-30), rel=1e-12)
+        # and on both sides of x = df + 2, where the series hands over
+        for x in (27.9, 28.1):
+            want = math.exp(-x / 2) * sum((x / 2) ** k / math.factorial(k) for k in range(13))
+            assert chi2_survival(x, 26) == pytest.approx(want, rel=1e-12)
 
     def test_law_rows_are_distributions(self):
         _, _, law = one_event_law(PGGParams(M=6, N=3, r=2.5), LearningParams(2.0, 0.7, 0.2))
@@ -448,27 +479,48 @@ class TestExactOneGenerationLaw:
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_mean_payoff_matches_exact_law(self, path):
-        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[1])
+        assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[1][:, 0])
+
+
+THREE_GENERATION_PATHS = ["law-batch1", "law-batch2", "mixed-chunk1", "per-event"]
 
 
 class TestExactThreeGenerationLaw:
     """Three generations from (2, 2, 2) against the exact law of 3 M events.
 
     On these paths stretches end at generation ends, and their kept outcomes
-    are drawn within the generation (batch 1) or between refills of the
-    uniform stream (chunk 1).
+    are drawn within the generation (batch 1), across generation ends (batch
+    2) or between refills of the uniform stream (chunk 1); the per-event path
+    ends every generation by its own events.
     """
 
-    @pytest.mark.parametrize("path", ["law-batch1", "mixed-chunk1"])
+    @pytest.mark.parametrize("path", THREE_GENERATION_PATHS)
     def test_final_counts_match_exact_law(self, path):
         finals = exact_sample(path, generations=3, runs=10_000)[0]
         assert_matches_exact_law(EXACT_PARAMS, EXACT_LP, (2, 2), finals, generations=3)
 
-    @pytest.mark.parametrize("path", ["law-batch1", "mixed-chunk1"])
+    @pytest.mark.parametrize("path", THREE_GENERATION_PATHS)
     def test_third_mean_payoff_matches_exact_law(self, path):
-        payoffs = exact_sample(path, generations=3, runs=10_000)[1]
+        payoffs = exact_sample(path, generations=3, runs=10_000)[1][:, 2]
         assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), payoffs, generation=3)
         assert_payoff_variance_matches(EXACT_PARAMS, EXACT_LP, (2, 2), payoffs, generation=3)
+
+    @pytest.mark.parametrize("path", THREE_GENERATION_PATHS)
+    def test_each_generations_mean_payoff_matches_exact_law(self, path):
+        # a stretch's kept outcomes count in the generation that holds them
+        payoffs = exact_sample(path, generations=3, runs=10_000)[1]
+        for g in (1, 2, 3):
+            assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), payoffs[:, g - 1], g)
+
+    def test_final_counts_with_fixation_match_exact_law(self):
+        # without exploration the three monomorphic states absorb, and a state
+        # with no move left is one stretch to the end of every generation
+        lp = LearningParams(beta=EXACT_LP.beta, pr=EXACT_LP.pr, pe=0.0)
+        _, index, law = one_event_law(EXACT_PARAMS, lp)
+        reach = np.linalg.matrix_power(law, 3 * EXACT_PARAMS.M)[index[2, 2]]
+        assert sum(reach[index[state]] for state in ((6, 0), (0, 6), (0, 0))) > 0.01
+        finals = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 10_000, generations=3)[0]
+        assert_matches_exact_law(EXACT_PARAMS, lp, (2, 2), finals, generations=3)
 
 
 class TestStateLaw:
@@ -501,6 +553,17 @@ class TestStateLaw:
                                       (3, stay @ stay_played + change @ move_played)):
                 want = sum(outcome[1] * outcome[column] for outcome in outcomes)
                 assert abs(got_value - want) <= 1e-12, (state, column)
+
+    def test_tables_hold_only_the_round_cells(self):
+        n = 6
+        game = agent_sim._Laws(PGGParams(M=20, N=n, r=2.0), LearningParams())
+        assert game.budget > 0
+        for table in [game.pay] + game.adopt:
+            assert [len(row) for row in table] == [n + 1 - jc for jc in range(n + 1)]
+        # the pairs whose focal and role share a strategy share one table of zeros
+        assert game.adopt[0] is game.adopt[4] is game.adopt[8]
+        assert not any(any(row) for row in game.adopt[0])
+        assert len({id(table) for table in game.adopt}) == 7
 
     def test_explorations_lead_the_move_table(self):
         # run_abm's per-event path reads focal's exploration to its i-th other
@@ -650,7 +713,7 @@ class TestSamplingPaths:
     def test_one_generation_matches_exact_law(self, path, params, lp, start):
         finals, payoffs = one_generation(params, lp, start, 3000)
         assert_matches_exact_law(params, lp, start[:2], finals)
-        assert_mean_payoff_matches(params, lp, start[:2], payoffs)
+        assert_mean_payoff_matches(params, lp, start[:2], payoffs[:, 0])
 
     def test_no_channel_freezes_the_counts(self, path):
         params = PGGParams(M=30, N=5)

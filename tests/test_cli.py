@@ -180,7 +180,11 @@ class TestGoldenOutputs:
           "--grid", "N=2,3,5,7", "--grid", "mode=replicator,mutator,network",
           "--grid", "g=0.5,3", "--grid", "u=1e-10,1e-3"],
          "e8207f21030f525da52c3191350f9b1134b7e9d0cc360bff2553eda61ebfca95"),
-    ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep"])
+        # N = 20: a budget of 379 laws, all of which a run uses, so both
+        # sampling paths run
+        (["abm", "--seed", "2", "--set", "N=20", "--set", "r=10", "--set", "t=1000"],
+         "5f424e1c0871c03bb16827bf010113964d7035f4c2635f82601c79e7c4036f8c"),
+    ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep", "abm-large-group"])
     def test_digest(self, tmp_path, argv, digest):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
@@ -469,6 +473,18 @@ class TestErrorPaths:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ode", "abm", "graph", "sweep"])
+    def test_empty_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # the directory where a run would write its default file (ode.csv, abm.csv, ...)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out =\n")
+        argv = [command, "--set", "steps=5", "--set", "t=5"]
+        argv += ["--grid", "r=2.5"] if command == "sweep" else []
+        for spelling in (["--out", ""], ["--out", " "], ["--set", "out="], ["--config", "run.cfg"]):
+            assert main(argv + spelling) == 2
+            assert capsys.readouterr().err == "error: out must name a file, got ''\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("command", ["ode", "abm", "graph"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):

@@ -1,5 +1,10 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from pggsim import cli
 from pggsim.config import RunConfig, load_config
 from pggsim.dynamics import DynamicsKind
 from pggsim.errors import ConfigError
@@ -143,3 +148,21 @@ class TestDerivedObjects:
     def test_initial_state_validated(self):
         with pytest.raises(ConfigError, match="sum to 1"):
             load_config(None, ["x0=0.5", "y0=0.5", "z0=0.5"])
+
+
+class TestReadme:
+    """The README's lists of config keys name exactly what the code reads."""
+
+    README = (Path(__file__).parents[1] / "README.md").read_text()
+
+    def test_configuration_table_names_every_field_and_alias(self):
+        section = self.README.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        keys = [key for row in rows for key in re.findall(r"`(\w+)`", row)]
+        assert sorted(keys) == sorted([f.name for f in dataclasses.fields(RunConfig)] + ["s", "w"])
+
+    def test_sweep_rules_name_the_sweepable_keys(self):
+        count, keys = re.search(r"`--grid` takes only the (\d+) keys an ODE run reads: ([^.]*)\.",
+                                self.README).groups()
+        assert re.findall(r"`(\w+)`", keys) == list(cli._SWEEP_KEYS)
+        assert int(count) == len(cli._SWEEP_KEYS)
