@@ -141,7 +141,7 @@ def gillespie_select(propensities, z1: float) -> int:
 
     Picks the unique r with cumulative(r-1)/total < z1 <= cumulative(r)/total
     (left-strict, right-inclusive). Raises NoEventError when every propensity
-    is zero.
+    is zero, and ValueError when one is NaN or infinite or their sum overflows.
     """
     if not (0.0 < z1 < 1.0):
         raise ValueError(f"z1 must lie strictly between 0 and 1, got {z1}")
@@ -149,6 +149,9 @@ def gillespie_select(propensities, z1: float) -> int:
     if any(a < 0 for a in props):
         raise ValueError("propensities must be nonnegative")
     total = sum(props)
+    # a NaN or infinite propensity makes the sum NaN or infinite too
+    if not math.isfinite(total):
+        raise ValueError(f"propensities and their sum must be finite, got sum {total}")
     if total <= 0.0:
         raise NoEventError("all propensities are zero: no event can fire")
     cumulative = 0.0
@@ -176,11 +179,13 @@ _LAW_BUDGET = 1024
 # Bytes the laws one run builds may take, their comb table included: a law
 # holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes more
 # than its values: about 1.1 KB at N=5 (tracemalloc, M=100 and M=1000), with its
-# two array headers, tuple and dict slot. Within this bound every
-# C(M - 2, N - 2) is below 1e277, so no weight overflows.
+# two array headers, tuple and dict slot. Within this bound every C(M, N) is
+# below 1e278 (at worst 10^277.5, at M=1723, N=212), so no weight overflows.
 _LAW_BYTES = 4 << 20
 # Events' worth of uniforms run_abm draws from its generator at a time. Every
-# uniform is read once, in order, so the chunk size affects speed only.
+# uniform is read once, in order, but the refills land between the batched
+# multinomial draws of the same generator, so the chunk size fixes which
+# random stream a seed gives, not the law it is drawn from.
 _CHUNK_EVENTS = 128
 # Stretches whose kept outcomes run_abm draws in one multinomial call.
 _BATCH_STRETCHES = 1024
@@ -206,10 +211,27 @@ class _Laws:
     stay_pay[1 + c] the summed payoff of round cell c, the cells numbered in
     the order of pay's rows. An event changes the state by one of the 6
     exploration moves, which play no round, or by an adoption after a round:
-    one move per (focal, role) pair with focal != role and per composition
-    of the other N - 2 group members. moves[j] is (from, to, round_pay,
-    played): move j turns one `from` agent into a `to` agent and carries
-    round payoff round_pay over `played` agents.
+    one move per (focal, role) pair with focal != role and per round cell
+    that holds both, in the order of the cells. moves[j] is (from, to,
+    round_pay, played): move j turns one `from` agent into a `to` agent and
+    carries round payoff round_pay over `played` agents.
+
+    Drawing a focal, then a distinct role, then N - 2 others is drawing a
+    uniform group of N and then an ordered pair in it, as
+    M (M - 1) C(M - 2, N - 2) = C(M, N) N (N - 1). So in state (n_c, n_d,
+    n_l) the pair (f, r) plays round cell j = (jc, jd, jl) with probability
+    w(j) pr (1 - pe) j_f (j_r - [f = r]) / (C(M, N) N (N - 1)), and only the
+    state weight w(j) = C(n_c, jc) C(n_d, jd) C(n_l, jl) depends on the
+    state. The skip and the explorations are groups too: the skip's group
+    is empty, of weight 1, and an exploration's group is its lone focal, of
+    weight n_f, times pe / (2 M). groups holds the (jc, jd, jl) of the
+    skip's group, of the round cells and of the three lone focals, and a
+    state's weights are the products of three gathers from
+    comb[x, j] = C(x, j), one per strategy. What is left of each mass is fixed
+    per game: keep[1 + c] sums it over the 9 pairs for round cell c, times
+    the probability of not adopting (keep[0] is the skip's), and take[j]
+    holds it for move j, times the adoption probability; cell[j] is move
+    j's group.
 
     law(n_c, n_d) builds the law of that state, and keeps nothing: p_change,
     the probability that an event changes the state, the read-only arrays
@@ -251,66 +273,45 @@ class _Laws:
         # a law's stay row, skip included, and the cumulative masses of its
         # 6 explorations and 6 N (N - 1) / 2 adoption moves
         row_bytes = 8 * (len(cells) + 7 + 3 * n * (n - 1))
-        table_bytes = 8 * (m + 3) * (n - 1)
+        table_bytes = 8 * (m + 1) * (n + 1)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
         self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
         if not self.budget:
             return
 
-        # round cell and adoption probability of each pair and rest
-        # composition, and the adoption moves in the same order
-        rests = [(kc, kd, n - 2 - kc - kd) for kc in range(n - 1) for kd in range(n - 1 - kc)]
-        cell_of = {cell: 1 + i for i, cell in enumerate(cells)}
-        pairs = moving + [(s, s) for s in range(3)]
-        cell = []
-        keep = []
-        for focal, role in pairs:
-            for kc, kd, _ in rests:
-                jc = kc + (focal == 0) + (role == 0)
-                jd = kd + (focal == 1) + (role == 1)
-                cell.append(cell_of[jc, jd])
-                keep.append(1.0 - adopt[3 * focal + role][jc][jd])
-                if role != focal:
-                    self.moves.append((focal, role, pay[jc][jd], n))
+        # comb[x, j] = C(x, j) for x <= M and j <= N, 0 where j > x
+        comb = np.ones((m + 1, n + 1))
+        for j in range(1, n + 1):
+            comb[:, j] = comb[:, j - 1] * np.maximum(np.arange(m + 1.0) - j + 1, 0.0) / j
+        # the skip's empty group, the round cells and the lone explorers
+        groups = [(0, 0, 0), *((jc, jd, n - jc - jd) for jc, jd in cells),
+                  (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        keep = [(1.0 - lp.pe) * (1.0 - lp.pr)] + [0.0] * len(cells)
+        # the group of each move and its mass over the group's weight
+        cell = [len(keep) + focal for focal, _ in moving]
+        take = [lp.pe / (2 * m)] * 6
+        scale = (1.0 - lp.pe) * lp.pr / (float(comb[m, n]) * n * (n - 1))
+        for focal, role in moving + [(s, s) for s in range(3)]:
+            for i, j in enumerate(groups[1:len(keep)], 1):
+                ways = j[focal] * (j[role] - (focal == role))
+                p = adopt[3 * focal + role][j[0]][j[1]]
+                keep[i] += scale * ways * (1.0 - p)
+                if ways and role != focal:
+                    cell.append(i)
+                    take.append(scale * ways * p)
+                    self.moves.append((focal, role, pay[j[0]][j[1]], n))
+        self.comb = comb
+        self.groups = np.array(groups)
+        self.keep = np.array(keep)
         self.cell = np.array(cell)
-        self.keep = np.array(keep).reshape(9, len(rests))
-        self.take = 1.0 - self.keep[:6]
+        self.take = np.array(take)
         self.stay_pay = np.array([0.0, *itertools.chain.from_iterable(pay)])
         self.m = m
-        self.comb_width = n - 1
-        self.focal = np.array([focal for focal, _ in pairs])
-        self.role = np.array([role for _, role in pairs])
-        self.same = self.focal == self.role
-        self.explore_scale = lp.pe / (2 * m)
-        self.skip = (1.0 - lp.pe) * (1.0 - lp.pr)
-        # comb[(2 + x) * (N - 1) + j] = C(x, j) for x <= M and j <= N - 2, the
-        # hypergeometric weights of the rest of the group; the two rows of
-        # zeros before x = 0 take the rest counts -1 and -2 of pairs that
-        # have no mass
-        x = np.arange(m + 1.0)
-        comb = np.zeros((m + 3, n - 1))
-        comb[2:, 0] = 1.0
-        for j in range(1, n - 1):
-            comb[2:, j] = comb[2:, j - 1] * np.maximum(x - j + 1, 0.0) / j
-        self.comb = comb.ravel()
-        self.pair_scale = (1.0 - lp.pe) * lp.pr / (m * (m - 1) * comb[m, n - 2])
-        # rest_at[:, s] + n_s * (N - 1) indexes C(rest count of s, members of s)
-        drop = np.eye(3, dtype=int)[self.focal] + np.eye(3, dtype=int)[self.role]
-        self.rest_at = (2 - drop)[:, :, None] * (n - 1) + np.array(rests).T
 
     def masses(self, n_c: int, n_d: int) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities of one event's outcomes in state (n_c, n_d): those that keep it, the moves."""
-        c = np.array((n_c, n_d, self.m - n_c - n_d))
-        at = c * self.comb_width
-        comb = self.comb
-        pair = self.pair_scale * c[self.focal] * (c[self.role] - self.same)
-        rest_at = self.rest_at
-        mass = (comb[rest_at[:, 0] + at[0]] * comb[rest_at[:, 1] + at[1]]
-                * comb[rest_at[:, 2] + at[2]] * pair[:, None])
-        stay = np.bincount(self.cell, (mass * self.keep).ravel(), minlength=len(self.stay_pay))
-        stay[0] = self.skip
-        explore = self.explore_scale * c[self.focal[:6]]
-        return stay, np.concatenate((explore, (mass[:6] * self.take).ravel()))
+        w = self.comb[(n_c, n_d, self.m - n_c - n_d), self.groups].prod(axis=1)
+        return w[:len(self.keep)] * self.keep, w[self.cell] * self.take
 
     def law(self, n_c: int, n_d: int) -> tuple[float, np.ndarray, np.ndarray]:
         stay, change = self.masses(n_c, n_d)

@@ -82,6 +82,16 @@ class TestGillespieSelect:
         with pytest.raises(ValueError, match="nonnegative"):
             gillespie_select([1.0, -0.5], 0.5)
 
+    @pytest.mark.parametrize("props, z1", [
+        ([math.nan, 1.0], 0.5),
+        ([math.inf, 1.0], 0.5),
+        ([1.0, math.inf, 1.0], 0.5),
+        ([1e308, 1e308], 0.25),
+    ], ids=["nan", "inf", "inf-inside", "sum-overflows"])
+    def test_non_finite_propensities_rejected(self, props, z1):
+        with pytest.raises(ValueError, match="finite"):
+            gillespie_select(props, z1)
+
     def test_draw_domain(self):
         with pytest.raises(ValueError, match="z1"):
             gillespie_select([1.0, 1.0], 0.0)
@@ -529,7 +539,11 @@ class TestStateLaw:
     @pytest.mark.parametrize("params, lp", [
         (PGGParams(M=6, N=3, r=2.5), LearningParams(beta=2.0, pr=0.7, pe=0.2)),
         (PGGParams(M=20, N=4, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.05)),
-    ], ids=["M6-N3", "M20-N4"])
+        (PGGParams(M=6, N=2, r=1.5), LearningParams(beta=2.0, pr=0.7, pe=0.2)),
+        (PGGParams(M=3, N=3, r=2.5), LearningParams(beta=2.0, pr=0.7, pe=0.2)),
+        (PGGParams(M=20, N=6, r=3.0), LearningParams(beta=2.0, pr=0.7, pe=0.05)),
+        (PGGParams(M=12, N=12, r=6.0), LearningParams(beta=2.0, pr=0.7, pe=0.0)),
+    ], ids=["M6-N3", "M20-N4", "N2", "M-is-N", "M20-N6", "M12-N12"])
     def test_matches_oracle(self, params, lp):
         laws = agent_sim._Laws(params, lp)
         move_from, move_to, move_pay, move_played = map(np.array, zip(*laws.moves))
@@ -653,7 +667,8 @@ class TestLawBytes:
         """Largest M at which a game of group size n gets one law within _LAW_BYTES."""
         # stay row, skip included, and the cumulative masses of 6 + 6 C(n, 2) moves
         row_bytes = 8 * ((n + 1) * (n + 2) // 2 + 1 + 6 + 3 * n * (n - 1))
-        return (agent_sim._LAW_BYTES - row_bytes) // (8 * (n - 1)) - 3
+        # the comb table C(x, j) for x <= M and j <= n takes the rest
+        return (agent_sim._LAW_BYTES - row_bytes) // (8 * (n + 1)) - 1
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_largest_m_is_the_module_bound(self, n):
@@ -675,13 +690,13 @@ class TestLawBytes:
         worst = (-math.inf, None)
         n = 2
         while (m := self.largest_m(n)) >= n:
-            # C(M - 2, N - 2) divides pair_scale and bounds every weight; the
-            # comb table's largest entry is C(M, j) at j = min(N - 2, M // 2)
-            worst = max(worst, (log10_comb(m - 2, n - 2), (m, n)))
-            assert log10_comb(m, min(n - 2, m // 2)) < 308
+            # C(M, N) divides every pair's mass and bounds every state weight;
+            # the comb table's largest entry is C(M, j) at j = min(N, M // 2)
+            worst = max(worst, (log10_comb(m, n), (m, n)))
+            assert log10_comb(m, min(n, m // 2)) < 308
             n += 1
-        assert worst[0] < 277
-        assert worst[1] == (1753, 211)
+        assert worst[0] < 278
+        assert worst[1] == (1723, 212)
 
     def test_game_past_the_bound_runs_per_event(self):
         params, lp = PGGParams(M=10**6, N=5), LearningParams(pr=0.0, pe=1e-5)

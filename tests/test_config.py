@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from pggsim import cli
+from pggsim import agent_sim, cli
+from pggsim.agent_sim import LearningParams
 from pggsim.config import RunConfig, load_config
 from pggsim.dynamics import DynamicsKind
 from pggsim.errors import ConfigError
+from pggsim.payoffs import PGGParams
 
 
 class TestDefaults:
@@ -151,7 +153,7 @@ class TestDerivedObjects:
 
 
 class TestReadme:
-    """The README's lists of config keys name exactly what the code reads."""
+    """The README's lists of config keys name exactly what the code reads, and its law budgets."""
 
     README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -166,3 +168,16 @@ class TestReadme:
                                 self.README).groups()
         assert re.findall(r"`(\w+)`", keys) == list(cli._SWEEP_KEYS)
         assert int(count) == len(cli._SWEEP_KEYS)
+
+    def test_law_budgets_are_the_games(self):
+        text = " ".join(self.README.split())
+        budget, largest = re.search(r"the budget is ([\d,]+) at N = 20, M = 100, and a game holds "
+                                    r"no law at all at N = 5 above M = ([\d,]+)\.", text).groups()
+
+        def laws(m, n, r):
+            return agent_sim._Laws(PGGParams(M=m, N=n, r=r), LearningParams()).budget
+
+        assert laws(100, 20, 10.0) == int(budget.replace(",", ""))
+        m = int(largest.replace(",", ""))
+        assert laws(m, 5, 1.5) > 0
+        assert laws(m + 1, 5, 1.5) == 0
