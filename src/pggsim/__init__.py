@@ -19,7 +19,7 @@ from .dynamics import (
     network_scaled_rhs,
     replicator_rhs,
 )
-from .errors import ConfigError, IntegrationError, NoEventError
+from .errors import ConfigError, IntegrationError
 from .game_core import (
     Matrix2x2,
     MixedStrategy2,

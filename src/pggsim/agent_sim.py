@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEventError
 from .payoffs import PGGParams, realized_payoffs
 
 
@@ -140,8 +139,9 @@ def gillespie_select(propensities, z1: float) -> int:
     """Index r whose cumulative propensity bracket contains z1.
 
     Picks the unique r with cumulative(r-1)/total < z1 <= cumulative(r)/total
-    (left-strict, right-inclusive). Raises NoEventError when every propensity
-    is zero, and ValueError when one is NaN or infinite or their sum overflows.
+    (left-strict, right-inclusive). Raises ValueError when z1 lies outside
+    (0, 1), when a propensity is negative, NaN or infinite, when their sum
+    overflows, and when every propensity is zero.
     """
     if not (0.0 < z1 < 1.0):
         raise ValueError(f"z1 must lie strictly between 0 and 1, got {z1}")
@@ -153,7 +153,7 @@ def gillespie_select(propensities, z1: float) -> int:
     if not math.isfinite(total):
         raise ValueError(f"propensities and their sum must be finite, got sum {total}")
     if total <= 0.0:
-        raise NoEventError("all propensities are zero: no event can fire")
+        raise ValueError("all propensities are zero: no event can fire")
     cumulative = 0.0
     for r, a in enumerate(props):
         cumulative += a
@@ -176,11 +176,11 @@ def gillespie_select(propensities, z1: float) -> int:
 # and a run simulates 27.7k events one at a time instead of 11.3k, while at
 # N=5 it keeps 1,484 laws, more than this count.
 _LAW_BUDGET = 1024
-# Bytes the laws one run builds may take, their comb table included: a law
-# holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes more
-# than its values: about 1.1 KB at N=5 (tracemalloc, M=100 and M=1000), with its
-# two array headers, tuple and dict slot. Within this bound every C(M, N) is
-# below 1e278 (at worst 10^277.5, at M=1723, N=212), so no weight overflows.
+# Bytes the laws one run builds may take, the game's law-path tables included:
+# a law holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes
+# more than its values: about 1.1 KB at N=5 (tracemalloc, M=100 and M=1000), with
+# its two array headers, tuple and dict slot. Within this bound every C(M, N) is
+# below 1e162 (at worst 10^161.3, at M=2824, N=83), so no weight overflows.
 _LAW_BYTES = 4 << 20
 # Events' worth of uniforms run_abm draws from its generator at a time. Every
 # uniform is read once, in order, but the refills land between the batched
@@ -237,18 +237,16 @@ class _Laws:
     the probability that an event changes the state, the read-only arrays
     stay, the distribution of the outcome of an event that keeps it, and
     cum, the cumulative masses of the moves. budget is the number of laws
-    that fit in _LAW_BYTES. laws maps states to the laws runs have built,
-    at most one run's budget of them (see run_abm). A game whose budget is 0
-    holds only what the per-event path reads: pay, adopt and the 6
-    exploration moves.
+    that fit in _LAW_BYTES beside comb, groups, keep, cell, take, moves and
+    stay_pay. laws maps states to the laws runs have built, at most one
+    run's budget of them (see run_abm). A game whose budget is 0 holds only
+    what the per-event path reads: pay and adopt.
     """
 
     def __init__(self, params: PGGParams, lp: LearningParams):
         m, n = params.M, params.N
         cells = [(jc, jd) for jc in range(n + 1) for jd in range(n + 1 - jc)]
-        # the 6 pairs with focal != role come first: only they can move. Move
-        # 2 * focal + i is then the exploration of focal to its i-th other
-        # strategy, in increasing order, which run_abm's per-event path reads
+        # the 6 pairs with focal != role: only they can move
         moving = [(focal, role) for focal in range(3) for role in range(3) if role != focal]
         zero = [[0.0] * (n + 1 - jc) for jc in range(n + 1)]
         pay = [[] for _ in range(n + 1)]
@@ -268,12 +266,15 @@ class _Laws:
                 f"summed over a generation of M={m} events must be finite"
             )
         self.pay, self.adopt = pay, adopt
-        self.moves = [(focal, to, 0.0, 0) for focal, to in moving]
 
         # a law's stay row, skip included, and the cumulative masses of its
         # 6 explorations and 6 N (N - 1) / 2 adoption moves
-        row_bytes = 8 * (len(cells) + 7 + 3 * n * (n - 1))
-        table_bytes = 8 * (m + 1) * (n + 1)
+        n_moves = 6 + 3 * n * (n - 1)
+        row_bytes = 8 * (len(cells) + 1 + n_moves)
+        # the law-path tables at their sizes under tracemalloc: comb; per move
+        # its tuple in moves (80 bytes with its list slot), take and cell; per
+        # round cell its groups, keep and stay_pay entries
+        table_bytes = 8 * (m + 1) * (n + 1) + 96 * n_moves + 40 * len(cells)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
         self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
         if not self.budget:
@@ -288,6 +289,7 @@ class _Laws:
                   (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         keep = [(1.0 - lp.pe) * (1.0 - lp.pr)] + [0.0] * len(cells)
         # the group of each move and its mass over the group's weight
+        self.moves = [(focal, to, 0.0, 0) for focal, to in moving]
         cell = [len(keep) + focal for focal, _ in moving]
         take = [lp.pe / (2 * m)] * 6
         scale = (1.0 - lp.pe) * lp.pr / (float(comb[m, n]) * n * (n - 1))
@@ -350,7 +352,7 @@ def run_abm(
     pe = lp.pe
     counts = list(initial.counts())
     game = _Laws(params, lp)
-    pay, adopt, moves, law_of, shared = game.pay, game.adopt, game.moves, game.law, game.laws
+    pay, adopt, law_of, shared = game.pay, game.adopt, game.law, game.laws
     # the states this run admits to the law path, with their laws: the path
     # depends on this run alone, whatever the game's store holds
     laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
@@ -404,9 +406,11 @@ def run_abm(
                     v = next(uniforms) * m
                     focal = 0 if v < counts[0] else (1 if v < counts[0] + counts[1] else 2)
                     if u < pe:
-                        # exploration: uniform over the focal's other two strategies
+                        # exploration: uniform over the focal's other two
+                        # strategies; the i-th of them is i + (i >= focal)
+                        i = next(uniforms) >= 0.5
                         counts[focal] -= 1
-                        counts[moves[2 * focal + (next(uniforms) >= 0.5)][1]] += 1
+                        counts[i + (i >= focal)] += 1
                         break
 
                     # role: a distinct agent, so the focal's strategy count drops by one
@@ -459,7 +463,7 @@ def run_abm(
                     break
             # the first move whose cumulative mass reaches a point of (0, total]
             j = bisect_left(cum, (1.0 - next(uniforms)) * cum[-1])
-            source, target, round_pay, round_played = moves[j]
+            source, target, round_pay, round_played = game.moves[j]
             counts[source] -= 1
             counts[target] += 1
             pay_sum += round_pay

@@ -1,7 +1,7 @@
-"""Trajectory diagnostics: time averages, oscillation counts, fixation, distance.
+"""Deterministic trajectory diagnostics: time averages, oscillation counts, fixation, distance.
 
-Works on both deterministic trajectories and finite-population runs; anything
-with a `frequencies` array of shape (n, 3) qualifies.
+A trajectory is anything with a `frequencies` array of shape (n, 3) and,
+for `trajectory_distance`, a `times` grid.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_sim import AbmTrajectory
-
 # A deterministic trajectory never reaches a vertex exactly in finite time,
-# so fixation there is a threshold call; a finite population fixates exactly.
+# so fixation is a threshold call.
 _ODE_FIXATION = 1.0 - 1e-6
 
 
@@ -26,13 +24,6 @@ class TrajectoryStats:
     oscillation_counts: tuple[int, int, int]
     fixated: int | None
     amplitude: tuple[float, float, float]
-
-
-def _grid(traj) -> np.ndarray:
-    axis = getattr(traj, "times", None)
-    if axis is None:
-        axis = traj.generations
-    return np.asarray(axis)
 
 
 def _mean_crossings(series: np.ndarray) -> int:
@@ -74,11 +65,7 @@ def stats(traj, window: float = 1.0) -> TrajectoryStats:
 
     final = freqs[-1]
     winner = int(np.argmax(final))
-    if isinstance(traj, AbmTrajectory):
-        absorbed = final[winner] >= 1.0
-    else:
-        absorbed = final[winner] > _ODE_FIXATION
-    fixated = winner if absorbed else None
+    fixated = winner if final[winner] > _ODE_FIXATION else None
 
     return TrajectoryStats(
         time_means=tuple(float(v) for v in means),
@@ -90,8 +77,7 @@ def stats(traj, window: float = 1.0) -> TrajectoryStats:
 
 def trajectory_distance(a, b) -> float:
     """Mean L1 distance between two trajectories on the same sample grid."""
-    grid_a, grid_b = _grid(a), _grid(b)
-    if len(grid_a) != len(grid_b) or not np.array_equal(grid_a, grid_b):
+    if not np.array_equal(a.times, b.times):
         raise ValueError("trajectories must share an identical sample grid")
     fa = np.asarray(a.frequencies, dtype=float)
     fb = np.asarray(b.frequencies, dtype=float)

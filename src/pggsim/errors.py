@@ -1,8 +1,4 @@
-"""Exception types shared across the package."""
-
-
-class NoEventError(RuntimeError):
-    """Raised when event selection is asked to pick from all-zero propensities."""
+"""Exception types of the CLI's clean exits: a trajectory that leaves the simplex, a bad config."""
 
 
 class IntegrationError(RuntimeError):

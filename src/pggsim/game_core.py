@@ -15,22 +15,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MixedStrategy2:
-    """Mixed strategy over two pure strategies: plays the first with probability p.
+    """Mixed strategy over two pure strategies: the first with probability p, the second with q.
 
-    The second probability defaults to 1 - p; passing it explicitly keeps a
-    weight pair like (1/3, 2/3) exact instead of rounding through the
-    complement.
+    Both weights are given, so a pair like (1/3, 2/3) stays exact instead of
+    rounding through the complement.
     """
 
     p: float
-    q: float = None  # type: ignore[assignment]
+    q: float
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0) or not math.isfinite(self.p):
             raise ValueError(f"strategy weight p must be in [0, 1], got {self.p}")
-        if self.q is None:
-            object.__setattr__(self, "q", 1.0 - self.p)
-        elif not (0.0 <= self.q <= 1.0) or abs(self.p + self.q - 1.0) > 1e-12:
+        if not (0.0 <= self.q <= 1.0) or abs(self.p + self.q - 1.0) > 1e-12:
             raise ValueError(f"weights must satisfy p + q = 1, got ({self.p}, {self.q})")
 
     def probs(self) -> tuple[float, float]:

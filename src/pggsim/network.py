@@ -53,12 +53,12 @@ def generate_er(gp: GraphParams) -> Graph:
     """G(n, p): every unordered pair is an edge independently with probability p.
 
     Pairs are visited in ascending (i, j) order with one uniform draw each, so
-    a fixed seed always yields the same graph.
+    a fixed seed always yields the same graph. The draws come one row i at a
+    time, so memory grows with n and the edges, not with the n^2 pairs.
     """
     rng = np.random.default_rng(gp.seed)
-    rows, cols = np.triu_indices(gp.n, k=1)
-    mask = rng.random(len(rows)) < gp.p
-    edges = tuple(zip(rows[mask].tolist(), cols[mask].tolist()))
+    edges = tuple((i, j) for i in range(gp.n - 1)
+                  for j in (np.flatnonzero(rng.random(gp.n - 1 - i) < gp.p) + i + 1).tolist())
     return Graph(n=gp.n, edges=edges, adjacency=_adjacency_from_edges(gp.n, edges))
 
 

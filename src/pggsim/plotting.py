@@ -26,8 +26,8 @@ def _project(freqs: np.ndarray) -> np.ndarray:
     return freqs @ corners
 
 
-def plot_simplex(traj, out: str | Path) -> Path:
-    """Write the trajectory as a polyline inside a labeled triangle; returns the path."""
+def plot_simplex(traj, out: str | Path) -> None:
+    """Write the trajectory to `out` as an SVG polyline inside a labeled triangle."""
     freqs = np.asarray(traj.frequencies, dtype=float)
     if freqs.size == 0:
         raise ValueError("trajectory is empty")
@@ -61,6 +61,4 @@ def plot_simplex(traj, out: str | Path) -> Path:
         )
     parts.append("</svg>")
 
-    out_path = Path(out)
-    out_path.write_text("\n".join(parts) + "\n")
-    return out_path
+    Path(out).write_text("\n".join(parts) + "\n")

@@ -17,7 +17,6 @@ from pggsim.agent_sim import (
     run_abm,
 )
 from pggsim.analysis import stats
-from pggsim.errors import NoEventError
 from pggsim.payoffs import PGGParams, realized_payoffs
 
 from conftest import absorbed_since
@@ -75,7 +74,7 @@ class TestGillespieSelect:
             assert gillespie_select([0.0, 1.0, 0.0], z1) == 1
 
     def test_all_zero_is_no_event(self):
-        with pytest.raises(NoEventError):
+        with pytest.raises(ValueError, match="all propensities are zero"):
             gillespie_select([0.0, 0.0], 0.5)
 
     def test_negative_propensity_rejected(self):
@@ -491,6 +490,13 @@ class TestExactOneGenerationLaw:
     def test_mean_payoff_matches_exact_law(self, path):
         assert_mean_payoff_matches(EXACT_PARAMS, EXACT_LP, (2, 2), exact_sample(path)[1][:, 0])
 
+    def test_mean_payoff_of_a_slow_game_matches_exact_law(self):
+        # few events change the state, so most generations end inside a
+        # stretch, whose kept outcomes the mean payoff must still count
+        lp = LearningParams(beta=2.0, pr=0.2, pe=0.02)
+        payoffs = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 5000)[1][:, 0]
+        assert_mean_payoff_matches(EXACT_PARAMS, lp, (2, 2), payoffs)
+
 
 THREE_GENERATION_PATHS = ["law-batch1", "law-batch2", "mixed-chunk1", "per-event"]
 
@@ -579,15 +585,6 @@ class TestStateLaw:
         assert not any(any(row) for row in game.adopt[0])
         assert len({id(table) for table in game.adopt}) == 7
 
-    def test_explorations_lead_the_move_table(self):
-        # run_abm's per-event path reads focal's exploration to its i-th other
-        # strategy as move 2 * focal + i
-        laws = agent_sim._Laws(EXACT_PARAMS, EXACT_LP)
-        for focal in range(3):
-            for i, target in enumerate(s for s in range(3) if s != focal):
-                j = 2 * focal + i
-                assert laws.moves[j] == (focal, target, 0.0, 0)
-
 
 class TestSharedLaws:
     """Runs of one game share its _Laws; which path a run takes stays its own."""
@@ -665,10 +662,12 @@ class TestLawBytes:
     @staticmethod
     def largest_m(n):
         """Largest M at which a game of group size n gets one law within _LAW_BYTES."""
-        # stay row, skip included, and the cumulative masses of 6 + 6 C(n, 2) moves
-        row_bytes = 8 * ((n + 1) * (n + 2) // 2 + 1 + 6 + 3 * n * (n - 1))
+        cells, moves = (n + 1) * (n + 2) // 2, 6 + 3 * n * (n - 1)
+        # one law's stay row, skip included, and the cumulative masses of its
+        # moves; the game's tables per move and per round cell
+        rest = agent_sim._LAW_BYTES - 8 * (cells + 1 + moves) - 96 * moves - 40 * cells
         # the comb table C(x, j) for x <= M and j <= n takes the rest
-        return (agent_sim._LAW_BYTES - row_bytes) // (8 * (n + 1)) - 1
+        return rest // (8 * (n + 1)) - 1
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_largest_m_is_the_module_bound(self, n):
@@ -677,10 +676,12 @@ class TestLawBytes:
         assert agent_sim._Laws(PGGParams(M=m + 1, N=n, r=1.5), LearningParams()).budget == 0
 
     def test_game_past_the_bound_holds_only_the_per_event_tables(self):
-        game = agent_sim._Laws(PGGParams(M=self.largest_m(5) + 1, N=5, r=1.5), LearningParams())
-        assert game.budget == 0
-        assert vars(game).keys() == {"pay", "adopt", "moves", "budget", "laws"}
-        assert len(game.moves) == 6
+        # at M = 1723, N = 212 the comb table alone leaves room for one law,
+        # but the tables of the game's 134,202 moves take several times _LAW_BYTES
+        for m, n in ((self.largest_m(5) + 1, 5), (1723, 212)):
+            game = agent_sim._Laws(PGGParams(M=m, N=n, r=1.5), LearningParams())
+            assert game.budget == 0
+            assert vars(game).keys() == {"pay", "adopt", "budget", "laws"}
 
     def test_weights_stay_finite_within_the_bound(self):
         def log10_comb(x, j):
@@ -695,8 +696,8 @@ class TestLawBytes:
             worst = max(worst, (log10_comb(m, n), (m, n)))
             assert log10_comb(m, min(n, m // 2)) < 308
             n += 1
-        assert worst[0] < 278
-        assert worst[1] == (1723, 212)
+        assert worst[0] < 162
+        assert worst[1] == (2824, 83)
 
     def test_game_past_the_bound_runs_per_event(self):
         params, lp = PGGParams(M=10**6, N=5), LearningParams(pr=0.0, pe=1e-5)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pggsim.agent_sim import LearningParams, Population, run_abm
 from pggsim.analysis import stats, trajectory_distance
 from pggsim.dynamics import Trajectory, integrate
 from pggsim.payoffs import PGGParams
@@ -51,12 +50,6 @@ class TestStats:
             shrunk = stats(traj, window=window).amplitude
             assert all(s <= f for s, f in zip(shrunk, full))
 
-    def test_abm_fixation_requires_exact_count(self):
-        params = PGGParams(M=20, N=5)
-        traj = run_abm(Population(20, 0, 0), params,
-                       LearningParams(pr=0.0, pe=0.0), 10, seed=0)
-        assert stats(traj).fixated == 0
-
     def test_window_validation(self):
         traj = constant_trajectory((0.5, 0.25, 0.25))
         with pytest.raises(ValueError, match="window"):
@@ -89,16 +82,6 @@ class TestTrajectoryDistance:
         b = constant_trajectory((1.0, 0.0, 0.0), samples=60)
         with pytest.raises(ValueError, match="grid"):
             trajectory_distance(a, b)
-
-    def test_abm_runs_share_the_generation_grid(self):
-        params, lp = PGGParams(M=30, N=5), LearningParams(pe=0.05)
-        a, b = (run_abm(Population(10, 10, 10), params, lp, 40, seed) for seed in (1, 2))
-        expected = np.abs(a.frequencies - b.frequencies).sum(axis=1).mean()
-        assert trajectory_distance(a, b) == pytest.approx(expected, rel=1e-12)
-        assert trajectory_distance(a, b) > 0
-        shorter = run_abm(Population(10, 10, 10), params, lp, 39, seed=1)
-        with pytest.raises(ValueError, match="grid"):
-            trajectory_distance(a, shorter)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(19)

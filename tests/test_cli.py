@@ -159,7 +159,10 @@ class TestGoldenOutputs:
     recorded again when the per-game table of binomial coefficients grew to
     C(x, j) for j <= N: its bytes count against the law budget, which fell
     from 379 to 378 at N = 20, M = 100, so one state more runs event by
-    event; with the old table size the file is the same. A rerun-equality check
+    event; with the old table size the file is the same. It was recorded once
+    more when the law path's per-move and per-cell tables began to count
+    against the budget too, which fell to 368 there, with the same reason
+    and the same check. A rerun-equality check
     cannot see a change in the random stream or the number formatting; these
     can. A change that alters a stream on purpose updates the digest and
     says so.
@@ -184,10 +187,10 @@ class TestGoldenOutputs:
           "--grid", "N=2,3,5,7", "--grid", "mode=replicator,mutator,network",
           "--grid", "g=0.5,3", "--grid", "u=1e-10,1e-3"],
          "e8207f21030f525da52c3191350f9b1134b7e9d0cc360bff2553eda61ebfca95"),
-        # N = 20: a budget of 378 laws, all of which a run uses, so both
+        # N = 20: a budget of 368 laws, all of which a run uses, so both
         # sampling paths run
         (["abm", "--seed", "2", "--set", "N=20", "--set", "r=10", "--set", "t=1000"],
-         "62010b636e033ce2d1dd32324facff8558215917aa260110076e6953e1e7f38e"),
+         "8ee284d2d9161caa95247a09eab463231353335b2c17c3a7de3d5d73c721cec2"),
     ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep", "abm-large-group"])
     def test_digest(self, tmp_path, argv, digest):
         out = tmp_path / "out"
@@ -502,7 +505,8 @@ class TestErrorPaths:
 class TestPlotting:
     def test_single_point_marks_vertex(self, tmp_path):
         traj = Trajectory(times=np.zeros(1), frequencies=np.array([[1.0, 0.0, 0.0]]))
-        svg = plot_simplex(traj, tmp_path / "point.svg")
+        svg = tmp_path / "point.svg"
+        plot_simplex(traj, svg)
         root = ET.parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         markers = [c for c in root.iter(f"{ns}circle") if c.attrib["r"] == "3"]
@@ -515,7 +519,8 @@ class TestPlotting:
         traj = Trajectory(
             times=np.zeros(1), frequencies=np.array([[1 / 3, 1 / 3, 1 / 3]])
         )
-        svg = plot_simplex(traj, tmp_path / "centroid.svg")
+        svg = tmp_path / "centroid.svg"
+        plot_simplex(traj, svg)
         root = ET.parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         small = [c for c in root.iter(f"{ns}circle") if c.attrib["r"] == "3"]
@@ -525,7 +530,8 @@ class TestPlotting:
         assert cy == pytest.approx((45.551 + 340.0 + 340.0) / 3, abs=0.01)
 
     def test_long_trajectory_is_decimated_but_valid(self, tmp_path, cycle_run):
-        svg = plot_simplex(cycle_run, tmp_path / "cycle.svg")
+        svg = tmp_path / "cycle.svg"
+        plot_simplex(cycle_run, svg)
         assert svg_points_within_viewbox(svg)
         assert svg.stat().st_size < 400_000
 

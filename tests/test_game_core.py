@@ -13,6 +13,11 @@ from pggsim.game_core import (
 )
 
 
+def mixed(p):
+    """The strategy with weights (p, 1 - p)."""
+    return MixedStrategy2(p, 1.0 - p)
+
+
 class TestOutcomeDistribution:
     def test_worked_grid(self):
         # the (1/3, 2/3) x (2/3, 1/3) grid of the worked example, exact
@@ -22,12 +27,12 @@ class TestOutcomeDistribution:
         assert grid.tolist() == [[2 / 9, 1 / 9], [4 / 9, 2 / 9]]
 
     def test_pure_strategies(self):
-        grid = outcome_distribution(MixedStrategy2(1.0), MixedStrategy2(1.0))
+        grid = outcome_distribution(mixed(1.0), mixed(1.0))
         assert grid.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_cells_nonnegative_and_sum_to_one(self, p, q):
-        grid = outcome_distribution(MixedStrategy2(p), MixedStrategy2(q))
+        grid = outcome_distribution(mixed(p), mixed(q))
         assert (grid >= 0).all()
         assert abs(grid.sum() - 1.0) <= 1e-12
 
@@ -41,17 +46,17 @@ class TestExpectedPayoffs:
 
     def test_zero_matrix(self):
         m = Matrix2x2(row=np.zeros((2, 2)), col=np.zeros((2, 2)))
-        assert expected_payoffs(m, MixedStrategy2(0.3), MixedStrategy2(0.8)) == (0.0, 0.0)
+        assert expected_payoffs(m, mixed(0.3), mixed(0.8)) == (0.0, 0.0)
 
     def test_matching_pennies_uniform(self):
         pennies = Matrix2x2.from_pairs([[(-1, 1), (1, -1)], [(1, -1), (-1, 1)]])
-        u = expected_payoffs(pennies, MixedStrategy2(0.5), MixedStrategy2(0.5))
+        u = expected_payoffs(pennies, mixed(0.5), mixed(0.5))
         assert u == (0.0, 0.0)
 
     def test_bilinear_in_matrix_scale(self):
         # scaling by powers of two is exact in floating point
         base = Matrix2x2.abc_game(2, 1, 0)
-        row, col = MixedStrategy2(0.3), MixedStrategy2(0.7)
+        row, col = mixed(0.3), mixed(0.7)
         u_row, u_col = expected_payoffs(base, row, col)
         for k in (0.5, 2.0, 4.0):
             scaled = Matrix2x2(row=base.row * k, col=base.col * k)
@@ -80,9 +85,9 @@ class TestMixedEquilibrium:
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-4)
         gaps = []
         for p in grid:
-            row = MixedStrategy2(float(p))
-            u_left = expected_payoffs(m, row, MixedStrategy2(1.0))[1]
-            u_right = expected_payoffs(m, row, MixedStrategy2(0.0))[1]
+            row = mixed(float(p))
+            u_left = expected_payoffs(m, row, mixed(1.0))[1]
+            u_right = expected_payoffs(m, row, mixed(0.0))[1]
             gaps.append(abs(u_left - u_right))
         best = grid[int(np.argmin(gaps))]
         sigma = mixed_equilibrium_abc(a, b, c)
@@ -108,7 +113,7 @@ class TestIndifferenceProperty:
             m = Matrix2x2.abc_game(a, b, c)
             row, col = equilibrium_profile_abc(a, b, c)
             u_row, u_col = expected_payoffs(m, row, col)
-            for pure in (MixedStrategy2(1.0), MixedStrategy2(0.0)):
+            for pure in (mixed(1.0), mixed(0.0)):
                 assert expected_payoffs(m, pure, col)[0] == pytest.approx(u_row, abs=1e-10)
                 assert expected_payoffs(m, row, pure)[1] == pytest.approx(u_col, abs=1e-10)
 
@@ -116,9 +121,9 @@ class TestIndifferenceProperty:
 class TestValidation:
     def test_strategy_weight_range(self):
         with pytest.raises(ValueError):
-            MixedStrategy2(1.2)
+            mixed(1.2)
         with pytest.raises(ValueError):
-            MixedStrategy2(-0.1)
+            mixed(-0.1)
 
     def test_explicit_pair_must_sum_to_one(self):
         with pytest.raises(ValueError):

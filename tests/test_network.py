@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,31 @@ import pytest
 from pggsim.network import Graph, GraphParams, edge_list_text, generate_er
 
 
+def one_draw_per_pair(n, p, seed):
+    """G(n, p)'s edges from one uniform per pair, all pairs drawn at once in ascending order."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, k=1)
+    mask = rng.random(len(rows)) < p
+    return tuple(zip(rows[mask].tolist(), cols[mask].tolist()))
+
+
 class TestGenerateEr:
+    @pytest.mark.parametrize("n, p, seed", [
+        (1, 0.5, 0), (2, 0.5, 0), (2, 1.0, 3), (60, 0.5, 9), (100, 0.1, 5), (800, 0.01, 5),
+    ])
+    def test_rows_draw_the_uniforms_of_all_pairs(self, n, p, seed):
+        assert generate_er(GraphParams(n=n, p=p, seed=seed)).edges == one_draw_per_pair(n, p, seed)
+
+    def test_memory_grows_with_nodes_not_pairs(self):
+        tracemalloc.start()
+        try:
+            generate_er(GraphParams(n=2000, p=0.001, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one uniform per pair at once takes 16 MB here, and its pair indices 32 MB
+        assert peak < 4 << 20
+
     def test_p_zero_is_empty(self):
         assert generate_er(GraphParams(n=50, p=0.0, seed=1)).edge_count == 0
 

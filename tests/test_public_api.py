@@ -1,7 +1,11 @@
-"""Every public name is reached by the package itself or by the acceptance contract.
+"""Every public name and class member is reached by the package or by the acceptance contract.
 
 A name exported from `pggsim/__init__.py` that only unit tests call is API
-kept alive for its own tests; it is deleted instead, with those tests.
+kept alive for its own tests; it is deleted instead, with those tests. The
+same holds for what an exported class's body defines, other than `__init__`
+and `__post_init__`: each member must be read somewhere by its name, as an
+attribute or as a keyword. Like the rest of the scan this goes by name, not
+type, and a call of `len` reads the name `__len__`.
 """
 
 import ast
@@ -60,3 +64,55 @@ REACHED = package_references() | contract_imports()
 @pytest.mark.parametrize("name", exported_names())
 def test_export_is_reached_outside_unit_tests(name):
     assert name in REACHED, f"{name} is used only by unit tests; delete it with them"
+
+
+def exported_members():
+    """(class, member) for every name defined in the body of an exported class."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    found = []
+    for node in init.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        wanted = {alias.name for alias in node.names}
+        module = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+        for cls in module.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in wanted):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.AnnAssign):
+                    names = [item.target.id]
+                elif isinstance(item, ast.Assign):
+                    names = [target.id for target in item.targets]
+                else:
+                    continue
+                found += [(cls.name, name) for name in names
+                          if name not in ("__init__", "__post_init__")]
+    return found
+
+
+def member_reads(tree):
+    """Names read as attributes or given as keywords; a call of `len` reads `__len__`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len":
+            found.add("__len__")
+    return found
+
+
+MEMBERS_READ = set().union(*(
+    member_reads(ast.parse(path.read_text()))
+    for path in [*PACKAGE.glob("*.py"), *CONTRACT] if path.name != "__init__.py"
+))
+
+
+@pytest.mark.parametrize("cls, member", [
+    pytest.param(cls, member, id=f"{cls}.{member}") for cls, member in exported_members()
+])
+def test_class_member_is_reached_outside_unit_tests(cls, member):
+    assert member in MEMBERS_READ, f"{cls}.{member} is used only by unit tests; delete it with them"
