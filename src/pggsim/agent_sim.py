@@ -164,17 +164,17 @@ def gillespie_select(propensities, z1: float) -> int:
 
 # Most distinct states a run takes the law path in, the first it visits. A law
 # is 88 float64 values at N=5 (704 bytes). At seed 1, abm-default (10^6 events
-# at M=100) visits 1,467 distinct states, in 49,494 law-path stretches and 896
-# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,848, in 1,350
-# stretches and 283,211 per-event visits. There, peak RSS of run_abm alone was
-# 34.3 MB with no laws, 36.7 MB with this budget and 43.3 MB with as many laws
-# as _LAW_BYTES allows (2-core x86 host). A run drops no law: that walk has so
-# little locality that an LRU cache of 2048 laws rebuilt 41.5k of them. The
-# count stays beside _LAW_BYTES because a law's size grows as N^2, so no one
-# byte bound fits both small and large groups: at M=100, pe=1e-3 (seeds 1-4,
-# 10^4 generations) a 1 MiB bound alone keeps 592 laws at N=8 instead of 1024,
-# and a run simulates 27.7k events one at a time instead of 11.3k, while at
-# N=5 it keeps 1,484 laws, more than this count.
+# at M=100) visits 1,809 distinct states, in 45,827 law-path stretches and 1,624
+# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,293, in 1,364
+# stretches and 282,612 per-event visits. There, the peak RSS of a process that
+# runs only run_abm was 34.3 MB with no laws, 36.4 MB with this budget and
+# 42.7 MB with as many laws as _LAW_BYTES allows (2-core x86 host). A run drops
+# no law: that walk has so little locality that an LRU cache of 2048 laws built
+# 45.3k of them. The count stays beside _LAW_BYTES because a law's size grows as
+# N^2, so no one byte bound fits both small and large groups: at M=100, pe=1e-3
+# (seeds 1-4, 10^4 generations) a 1 MiB bound alone keeps 581 laws at N=8
+# instead of 1024, and a run simulates 30.4k events one at a time instead of
+# 11.3k, while at N=5 it keeps 1,472 laws, more than this count.
 _LAW_BUDGET = 1024
 # Bytes the laws one run builds may take, the game's law-path tables included:
 # a law holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes
@@ -363,11 +363,12 @@ def run_abm(
     uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
 
     gens = np.arange(generations + 1)
+    # each generation's counts and summed round payoff until the end, then
+    # its fractions and mean
     freqs = np.empty((generations + 1, 3))
-    # each generation's summed round payoff until the end, then its mean
     means = np.zeros(generations + 1)
     played = np.zeros(generations + 1)
-    freqs[0] = (counts[0] / m, counts[1] / m, counts[2] / m)
+    freqs[0] = counts
 
     # the (generation, length, stay law) of each stretch whose kept outcomes
     # are not drawn yet: they never move the state, so they are drawn later,
@@ -378,11 +379,10 @@ def run_abm(
     def draw_held():
         held_gen, held_run, held_stay = zip(*held)
         drawn = rng.multinomial(held_run, held_stay)
-        first = held_gen[0]
-        at = np.array(held_gen) - first
-        span = slice(first, held_gen[-1] + 1)
-        means[span] += np.bincount(at, drawn @ game.stay_pay)
-        played[span] += np.bincount(at, n * (np.array(held_run) - drawn[:, 0]))
+        # an int array: a tuple would be read as one multi-dimensional index
+        at = np.array(held_gen)
+        np.add.at(means, at, drawn @ game.stay_pay)
+        np.add.at(played, at, n * (np.array(held_run) - drawn[:, 0]))
         held.clear()
 
     for gen in range(1, generations + 1):
@@ -470,7 +470,7 @@ def run_abm(
             pay_count += round_played
             left -= 1
 
-        freqs[gen] = (counts[0] / m, counts[1] / m, counts[2] / m)
+        freqs[gen] = counts
         # add, not assign: a draw_held within this generation has added to it
         means[gen] += pay_sum
         played[gen] += pay_count
@@ -480,5 +480,6 @@ def run_abm(
     # the game keeps no more laws than one run may build
     if len(shared.keys() | laws.keys()) <= budget:
         shared.update(laws)
+    freqs /= m
     np.divide(means, played, out=means, where=played > 0)
     return AbmTrajectory(generations=gens, frequencies=freqs, mean_payoffs=means)

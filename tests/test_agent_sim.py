@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import math
 import sys
@@ -17,6 +18,7 @@ from pggsim.agent_sim import (
     run_abm,
 )
 from pggsim.analysis import stats
+from pggsim.dynamics import SimplexState, mutator_rhs
 from pggsim.payoffs import PGGParams, realized_payoffs
 
 from conftest import absorbed_since
@@ -738,6 +740,69 @@ class TestSamplingPaths:
         assert (traj.mean_payoffs == 0.0).all()
 
 
+def limit_drift(x, params: PGGParams, lp: LearningParams) -> np.ndarray:
+    """Drift of the fractions per generation as M -> infinity, written without _Laws.
+
+    In the limit the focal, the role and the N - 2 others of a round are
+    i.i.d. draws from x, so the focal f adopts the role's strategy r with
+    flow pr (1 - pe) x_f x_r E[fermi(pi_r - pi_f)], the expectation over the
+    others, and exploration adds pe (1/2 (1 - x_i) - x_i).
+    """
+    n = params.N
+    drift = [lp.pe * (0.5 * (1.0 - share) - share) for share in x]
+    for kc in range(n - 1):
+        for kd in range(n - 1 - kc):
+            kl = n - 2 - kc - kd
+            others = (math.factorial(n - 2) / (math.factorial(kc) * math.factorial(kd) * math.factorial(kl))
+                      * x[0] ** kc * x[1] ** kd * x[2] ** kl)
+            for f in range(3):
+                for r in range(3):
+                    if f == r:
+                        continue
+                    pi = (*realized_payoffs(kc + (f == 0) + (r == 0), kd + (f == 1) + (r == 1), params), 0.0)
+                    flow = (lp.pr * (1.0 - lp.pe) * x[f] * x[r] * others
+                            * fermi_probability(pi[f], pi[r], lp.beta))
+                    drift[r] += flow
+                    drift[f] -= flow
+    return np.array(drift)
+
+
+class TestLimitFlow:
+    """The ABM's drift converges to the pairwise-comparison flow, not to the u = pe/2 ODE."""
+
+    STATES = [(0.3, 0.3), (0.05, 0.15), (0.6, 0.1), (0.1, 0.1), (0.02, 0.05)]
+
+    @staticmethod
+    def finite_drift(x, m, lp):
+        """Expected change of the fractions per generation at M = m: of the counts per event."""
+        game = agent_sim._Laws(PGGParams(M=m), lp)
+        _, change = game.masses(round(x[0] * m), round(x[1] * m))
+        drift = np.zeros(3)
+        for mass, (source, target, _, _) in zip(change, game.moves):
+            drift[source] -= mass
+            drift[target] += mass
+        return drift
+
+    def test_finite_drift_converges_at_about_one_over_m(self):
+        lp = LearningParams()
+        states = [(x, y, 1.0 - x - y) for x, y in self.STATES]
+        limits = [limit_drift(x, PGGParams(), lp) for x in states]
+        errors = {m: [np.abs(self.finite_drift(x, m, lp) - limit).max()
+                      for x, limit in zip(states, limits)]
+                  for m in (100, 1000)}
+        for state, e100, e1000 in zip(self.STATES, errors[100], errors[1000]):
+            assert e1000 <= e100 / 5, (state, e100, e1000)
+        assert np.abs(limits[0] - (-0.0707, 0.1115, -0.0408)).max() <= 5e-5
+
+    def test_limit_is_not_the_mutator_flow(self):
+        # at (0.05, 0.15) the limit moves toward the loners, the u = pe/2 flow away
+        lp = LearningParams()
+        state = SimplexState(0.05, 0.15, 0.8)
+        limit = limit_drift((state.x, state.y, state.z), PGGParams(), lp)
+        flow = mutator_rhs(state, dataclasses.replace(PGGParams(), u=lp.pe / 2))
+        assert limit[2] > 0 > flow[2]
+
+
 class TestRunAbm:
     def test_zero_generations(self):
         params = PGGParams(M=30, N=5)
@@ -772,7 +837,11 @@ class TestRunAbm:
         params = PGGParams(M=40, N=5)
         traj = run_abm(Population(20, 10, 10), params,
                        LearningParams(), 200, seed=5)
-        assert np.abs(traj.frequencies.sum(axis=1) - 1.0).max() <= 1e-12
+        f = traj.frequencies
+        assert np.abs(f.sum(axis=1) - 1.0).max() <= 1e-12
+        # every row is its counts divided by M, exactly
+        assert np.array_equal(f, np.rint(f * params.M) / params.M)
+        assert (np.rint(f * params.M).sum(axis=1) == params.M).all()
 
     def test_sustained_oscillation_across_seeds(self, abm_default_runs):
         # the default run flickers through momentary absorptions but keeps

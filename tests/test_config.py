@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pggsim import agent_sim, cli
+from pggsim import agent_sim, cli, dynamics
 from pggsim.agent_sim import LearningParams
 from pggsim.config import RunConfig, load_config
 from pggsim.dynamics import DynamicsKind
@@ -153,7 +153,7 @@ class TestDerivedObjects:
 
 
 class TestReadme:
-    """The README's lists of config keys name exactly what the code reads, and its law budgets."""
+    """The README's lists of config keys name exactly what the code reads, and its sampler numbers."""
 
     README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -181,3 +181,13 @@ class TestReadme:
         m = int(largest.replace(",", ""))
         assert laws(m, 5, 1.5) > 0
         assert laws(m + 1, 5, 1.5) == 0
+
+    def test_sampler_numbers_are_the_constants(self):
+        text = " ".join(self.README.split())
+        for pattern, value in (
+            (r"A group of (\d+) or more points", dynamics._LOCKSTEP_MIN_RUNS),
+            (r"The budget is (\d+) states", agent_sim._LAW_BUDGET),
+            (r"would not fit in (\d+) MiB", agent_sim._LAW_BYTES / 2**20),
+            (r"up to (\d+) stretches in one multinomial call", agent_sim._BATCH_STRETCHES),
+        ):
+            assert float(re.search(pattern, text).group(1)) == value, pattern
