@@ -227,7 +227,8 @@ def main(argv=None) -> int:
         if args.command == "equilibrium":
             return cmd_equilibrium(args.a, args.b, args.c)
 
-        cfg = load_config(args.config, args.set)
+        grid = parse_grid(args.grid) if args.command == "sweep" else None
+        cfg = load_config(args.config, args.set, grid)
         # ode and abm plot; fail here rather than after their work
         if cfg.plot and cfg.out and args.command in ("ode", "abm"):
             _svg_path(Path(cfg.out))
@@ -239,12 +240,12 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, parse_grid(args.grid))
+            return cmd_sweep(cfg, grid)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IntegrationError as exc:

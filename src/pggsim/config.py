@@ -157,13 +157,16 @@ def parse_grid(entries: list[str]) -> dict[str, list[tuple[str, object]]]:
     return _fields(((entry, None) for entry in entries), parse_items)
 
 
-def load_config(path: str | Path | None = None, entries: list[str] = ()) -> RunConfig:
+def load_config(path: str | Path | None = None, entries: list[str] = (),
+                grid: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional file plus `key=value` command-line entries.
 
     The file holds one `key = value` pair per line; `#` starts a comment.
     Entries are parsed like file lines and win over them. Unknown keys and
     duplicate keys are errors; so is any value violating a parameter
-    invariant.
+    invariant. A sweep's `grid` (`parse_grid`'s result) wins over both with
+    each key's first value, so the config is the grid's first point: a value
+    that every point replaces is never checked on its own.
     """
     values: dict = {}
     if path is not None:
@@ -174,4 +177,5 @@ def load_config(path: str | Path | None = None, entries: list[str] = ()) -> RunC
                 lines.append((line, lineno))
         values = _fields(lines, _parse_value)
     values.update(_fields(((entry, None) for entry in entries), _parse_value))
+    values.update((key, items[0][1]) for key, items in (grid or {}).items())
     return RunConfig(**values)

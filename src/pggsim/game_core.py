@@ -52,17 +52,9 @@ class Matrix2x2:
         object.__setattr__(self, "col", col)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "Matrix2x2":
-        """Build from a 2x2 grid of (row payoff, column payoff) pairs."""
-        arr = np.asarray(pairs, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValueError("expected a 2x2 grid of payoff pairs")
-        return cls(row=arr[:, :, 0], col=arr[:, :, 1])
-
-    @classmethod
     def abc_game(cls, a: float, b: float, c: float) -> "Matrix2x2":
         """Symmetric-role game ((b,a),(c,c);(c,c),(a,b)) parameterized by levels a, b, c."""
-        return cls.from_pairs([[(b, a), (c, c)], [(c, c), (a, b)]])
+        return cls(row=[[b, c], [c, a]], col=[[a, c], [c, b]])
 
 
 def outcome_distribution(row: MixedStrategy2, col: MixedStrategy2) -> np.ndarray:

@@ -26,21 +26,13 @@ class Graph:
         return len(self.edges)
 
 
-def _adjacency_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return tuple(tuple(sorted(nb)) for nb in neighbors)
-
-
 @dataclass(frozen=True)
 class GraphParams:
     """Generator inputs: node count, independent edge probability, RNG seed."""
 
     n: int
     p: float
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if self.n < 1:
@@ -54,12 +46,17 @@ def generate_er(gp: GraphParams) -> Graph:
 
     Pairs are visited in ascending (i, j) order with one uniform draw each, so
     a fixed seed always yields the same graph. The draws come one row i at a
-    time, so memory grows with n and the edges, not with the n^2 pairs.
+    time, so memory grows with n and the edges, not with the n^2 pairs. That
+    order also leaves each adjacency list ascending.
     """
     rng = np.random.default_rng(gp.seed)
     edges = tuple((i, j) for i in range(gp.n - 1)
                   for j in (np.flatnonzero(rng.random(gp.n - 1 - i) < gp.p) + i + 1).tolist())
-    return Graph(n=gp.n, edges=edges, adjacency=_adjacency_from_edges(gp.n, edges))
+    neighbors: list[list[int]] = [[] for _ in range(gp.n)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return Graph(n=gp.n, edges=edges, adjacency=tuple(map(tuple, neighbors)))
 
 
 def edge_list_text(g: Graph) -> str:

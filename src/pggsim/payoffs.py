@@ -81,7 +81,6 @@ class PayoffProfile:
 
     P_c: float
     P_d: float
-    P_l: float
     P_bar: float
 
 
@@ -156,12 +155,12 @@ def expected_profile(state: SimplexState, params: PGGParams) -> PayoffProfile:
     whose N - 1 coplayers are drawn from the state: x/(1 - z) is the
     cooperator share among participants and z**(N-1) the probability of
     finding no coplayer; at z = 1 no game ever forms and P_d = 0.
-    P_c = P_d - c*(1 - z**(N-1)), P_l = 0, and P_bar = x*P_c + y*P_d, which
+    P_c = P_d - c*(1 - z**(N-1)) and P_bar = x*P_c + y*P_d, which
     coincides with average_payoff (the factored closed form) to rounding.
     """
     x, y, _ = state.as_tuple()
     p_c, p_d = _expected_terms(params)(state.x, state.z)
-    return PayoffProfile(P_c=p_c, P_d=p_d, P_l=0.0, P_bar=x * p_c + y * p_d)
+    return PayoffProfile(P_c=p_c, P_d=p_d, P_bar=x * p_c + y * p_d)
 
 
 def average_payoff(state: SimplexState, params: PGGParams) -> float:

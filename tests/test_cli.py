@@ -146,6 +146,36 @@ class TestSweepCommand:
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
         assert [float(row[header.index("r")]) for row in rows] == [2.5, 3.5]
 
+    # every point is valid once its grid values apply, though the base config is not:
+    # r=9 breaks 1 < r < N, and so does the default r=3 at N=3
+    @pytest.mark.parametrize("sets, grid", [
+        (["steps=50", "r=9"], "r=2.5,3.5"),
+        (["N=3"], "r=2.0,2.5"),
+    ], ids=["set-overridden", "default-overridden"])
+    def test_only_grid_points_are_validated(self, tmp_path, sets, grid):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--out", str(out), "--grid", grid]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2
+
+    def test_lockstep_groups_keep_grid_order(self, tmp_path, monkeypatch):
+        # 64 points in two (dt, steps) groups of 32; dt is the second key, so the
+        # groups' members interleave in grid order
+        argv = ["sweep", "--set", "steps=100", "--grid", "r=1.5,2,2.5,3,3.5,4,4.5,4.75",
+                "--grid", "dt=0.01,0.02", "--grid", "g=0,0.5,1,3"]
+        lockstep = []
+        real = pggsim.dynamics._integrate_lockstep
+        monkeypatch.setattr(pggsim.dynamics, "_integrate_lockstep",
+                            lambda runs, *a: lockstep.append(len(runs)) or real(runs, *a))
+        grouped, scalar = tmp_path / "grouped.csv", tmp_path / "scalar.csv"
+        assert main(argv + ["--out", str(grouped)]) == 0
+        assert lockstep == [32, 32]
+        monkeypatch.setattr(pggsim.dynamics, "_LOCKSTEP_MIN_RUNS", 65)
+        assert main(argv + ["--out", str(scalar)]) == 0
+        assert lockstep == [32, 32]
+        assert len(grouped.read_text().splitlines()) == 1 + 64
+        assert grouped.read_bytes() == scalar.read_bytes()
+
 
 class TestGoldenOutputs:
     """Output digests recorded before the ABM loop became table-driven.
@@ -417,6 +447,18 @@ class TestErrorPaths:
             assert "Is a directory" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [target, out]
         assert list(out.iterdir()) == [] and target.read_text() == "x"
+
+    # no 64-bit host can map these arrays, so numpy refuses them without allocating
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--set", "steps=1e15"],
+        ["abm", "--set", "t=1e15"],
+    ], ids=["ode", "abm"])
+    def test_impossible_allocation_is_reported(self, tmp_path, capsys, argv):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ode", "abm"])
     def test_unwritable_plot_leaves_no_csv(self, tmp_path, capsys, command):

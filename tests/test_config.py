@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -153,7 +154,8 @@ class TestDerivedObjects:
 
 
 class TestReadme:
-    """The README's lists of config keys name exactly what the code reads, and its sampler numbers."""
+    """The README's lists of config keys name exactly what the code reads, its sampler
+    numbers, and CLI examples that the parser and the config accept."""
 
     README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -181,6 +183,22 @@ class TestReadme:
         m = int(largest.replace(",", ""))
         assert laws(m, 5, 1.5) > 0
         assert laws(m + 1, 5, 1.5) == 0
+
+    def test_cli_examples_parse_and_load(self, tmp_path, monkeypatch):
+        block = next(b for b in self.README.split("```")[1::2] if "\npggsim " in b)
+        lines = [line for line in block.splitlines() if line.startswith("pggsim ")]
+        commands = ("ode", "abm", "graph", "sweep", "equilibrium")
+        calls = []
+        for command in commands:
+            monkeypatch.setattr(cli, f"cmd_{command}",
+                                lambda *a, command=command: calls.append(command) or 0)
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            calls.clear()
+            assert cli.main(argv) == 0, line
+            assert calls == [argv[0]], line
+        assert sorted(shlex.split(line)[1] for line in lines) == sorted(commands)
 
     def test_sampler_numbers_are_the_constants(self):
         text = " ".join(self.README.split())

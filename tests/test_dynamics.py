@@ -48,7 +48,7 @@ class TestReplicatorRhs:
         expected = (
             state.x * (prof.P_c - prof.P_bar),
             state.y * (prof.P_d - prof.P_bar),
-            state.z * (prof.P_l - prof.P_bar),
+            state.z * (0.0 - prof.P_bar),
         )
         assert replicator_rhs(state, params) == expected
 
@@ -64,7 +64,7 @@ class TestReplicatorRhs:
             variance = (
                 state.x * (prof.P_c - prof.P_bar) ** 2
                 + state.y * (prof.P_d - prof.P_bar) ** 2
-                + state.z * (prof.P_l - prof.P_bar) ** 2
+                + state.z * (0.0 - prof.P_bar) ** 2
             )
             moved = np.array(state.as_tuple()) + eps * np.array((dx, dy, dz))
             moved = SimplexState(*(float(v) for v in moved / moved.sum()))
@@ -72,10 +72,10 @@ class TestReplicatorRhs:
             # check the directional derivative of the frequency-weighted payoff
             # of a FROZEN payoff field, which is exactly the variance
             frozen_before = (
-                state.x * prof.P_c + state.y * prof.P_d + state.z * prof.P_l
+                state.x * prof.P_c + state.y * prof.P_d + state.z * 0.0
             )
             frozen_after = (
-                moved.x * prof.P_c + moved.y * prof.P_d + moved.z * prof.P_l
+                moved.x * prof.P_c + moved.y * prof.P_d + moved.z * 0.0
             )
             fd = (frozen_after - frozen_before) / eps
             assert fd == pytest.approx(variance, abs=1e-3)

@@ -49,7 +49,7 @@ class TestExpectedPayoffs:
         assert expected_payoffs(m, mixed(0.3), mixed(0.8)) == (0.0, 0.0)
 
     def test_matching_pennies_uniform(self):
-        pennies = Matrix2x2.from_pairs([[(-1, 1), (1, -1)], [(1, -1), (-1, 1)]])
+        pennies = Matrix2x2(row=[[-1, 1], [1, -1]], col=[[1, -1], [-1, 1]])
         u = expected_payoffs(pennies, mixed(0.5), mixed(0.5))
         assert u == (0.0, 0.0)
 
@@ -134,5 +134,3 @@ class TestValidation:
             Matrix2x2(row=np.zeros((2, 3)), col=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             Matrix2x2(row=np.full((2, 2), np.nan), col=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            Matrix2x2.from_pairs([[(1, 2)], [(3, 4)]])

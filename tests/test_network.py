@@ -79,9 +79,9 @@ class TestGraphStructure:
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="p must"):
-            GraphParams(n=5, p=1.5)
+            GraphParams(n=5, p=1.5, seed=0)
         with pytest.raises(ValueError, match="n must"):
-            GraphParams(n=0, p=0.5)
+            GraphParams(n=0, p=0.5, seed=0)
 
 
 class TestEdgeListText:

@@ -92,7 +92,7 @@ class TestExpectedDefectorPayoff:
 class TestExpectedProfile:
     def test_all_loner_annihilates(self):
         prof = expected_profile(SimplexState(0, 0, 1), PGGParams())
-        assert (prof.P_c, prof.P_d, prof.P_l, prof.P_bar) == (0.0, 0.0, 0.0, 0.0)
+        assert (prof.P_c, prof.P_d, prof.P_bar) == (0.0, 0.0, 0.0)
 
     def test_cooperator_vertex_average(self):
         prof = expected_profile(SimplexState(1, 0, 0), PGGParams(c=1, r=3, g=0.5, N=5))

@@ -4,8 +4,9 @@ A name exported from `pggsim/__init__.py` that only unit tests call is API
 kept alive for its own tests; it is deleted instead, with those tests. The
 same holds for what an exported class's body defines, other than `__init__`
 and `__post_init__`: each member must be read somewhere by its name, as an
-attribute or as a keyword. Like the rest of the scan this goes by name, not
-type, and a call of `len` reads the name `__len__`.
+attribute. A keyword in a call writes a field and does not count. Like the
+rest of the scan this goes by name, not type, and a call of `len` reads the
+name `__len__`.
 """
 
 import ast
@@ -93,13 +94,11 @@ def exported_members():
 
 
 def member_reads(tree):
-    """Names read as attributes or given as keywords; a call of `len` reads `__len__`."""
+    """Names loaded as attributes; a call of `len` reads `__len__`."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg:
-            found.add(node.arg)
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len":
             found.add("__len__")
     return found
