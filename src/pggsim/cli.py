@@ -115,24 +115,17 @@ def cmd_graph(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
-    """One stats row per point of the grid's product; `grid` is `config.parse_grid`'s result.
+    """One stats row per point of the grid's product; `grid` is `config.parse_grid`'s
+    result, nonempty and holding only _SWEEP_KEYS (`main` checks both).
 
-    A key given twice, a key with no value and a key that no ODE run reads
-    (anything outside _SWEEP_KEYS) are config errors. A grid value wins over
-    the same key in `cfg`. Every point is built, and so validated, before the
-    first one is integrated.
+    A grid value wins over the same key in `cfg`. Every point is built, and
+    so validated, before the first one is integrated.
 
     Points that share (dt, steps) form a group, which
     `dynamics.integrate_tails` integrates, keeping only the trailing tenth of
     samples that the stats read. If points leave the simplex, the error names
     the first of them in grid order, as if the points ran one by one.
     """
-    if not grid:
-        raise ConfigError("sweep requires at least one --grid key=v1,v2,...")
-    for key in grid:
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"--grid key {key!r} is read by no sweep point; "
-                              f"sweepable keys: {', '.join(_SWEEP_KEYS)}")
     points = []
     for combo in itertools.product(*grid.values()):
         fields = {key: value for key, (_, value) in zip(grid, combo)}
@@ -232,6 +225,13 @@ def main(argv=None) -> int:
         # ode and abm plot; fail here rather than after their work
         if cfg.plot and cfg.out and args.command in ("ode", "abm"):
             _svg_path(Path(cfg.out))
+        # a sweep needs a grid of sweepable keys; checked, like the plot path, before any work
+        if args.command == "sweep" and not grid:
+            raise ConfigError("sweep requires at least one --grid key=v1,v2,...")
+        for key in grid or ():
+            if key not in _SWEEP_KEYS:
+                raise ConfigError(f"--grid key {key!r} is read by no sweep point; "
+                                  f"sweepable keys: {', '.join(_SWEEP_KEYS)}")
 
         if args.command == "ode":
             return cmd_ode(cfg)

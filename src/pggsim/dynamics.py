@@ -178,9 +178,9 @@ def _clamp(step: int, x: float, y: float, z: float) -> tuple[float, float, float
 
 # A group of at least this many runs is integrated in lockstep. Measured on a
 # 2-core AVX-512 host (Python 3.11, numpy 2.4) with 2000 steps: a lockstep step
-# costs about 150 us plus about 1 us per run, the scalar `integrate` about 5 us
-# per run and step. The two broke even between 24 and 32 runs; a single run in
-# lockstep was about 30 times slower.
+# costs about 100 us plus about 0.25 us per run, the scalar `integrate` about
+# 3 us per run and step. The two tied at 32 runs (about 200 ms each); a single
+# run in lockstep was about 30 times slower.
 _LOCKSTEP_MIN_RUNS = 32
 
 

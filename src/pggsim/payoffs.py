@@ -129,17 +129,23 @@ def _expected_terms_many(games):
     results hold one element per game, and each element sees the same
     operations in the same order as the scalar form, r*c first.
 
-    z**(N-1) goes through libm `pow` element by element, as the scalar float
-    power does, because numpy's `**` can differ from it in the last ulp; the
-    results are therefore bitwise equal to the scalar form's. Where active <
-    _PARTICIPANT_EPS the division may divide by 0: the caller masks that
-    warning, and np.where discards it.
+    z**(N-1) is np.float_power, whose float64 loop calls libm `pow` once per
+    element, as the scalar float power does; numpy's `**` (np.power) runs a
+    SIMD loop that can differ from it in the last ulp. The results are
+    therefore bitwise equal to the scalar form's. Where a finite z gives an
+    infinite power, the scalar power raises OverflowError, and so does this
+    form. Where active < _PARTICIPANT_EPS the division may divide by 0. The
+    caller masks the warnings of both, and np.where discards the quotient.
     """
-    exps = [p.N - 1 for p in games]
+    exps = np.array([float(p.N - 1) for p in games])
     c, rc, g = (np.array(v) for v in zip(*((p.c, p.r * p.c, p.g) for p in games)))
 
     def terms(x, z):
-        some_coplayer = 1.0 - np.fromiter(map(pow, z.tolist(), exps), float, len(exps))
+        no_coplayer = np.float_power(z, exps)
+        over = np.isinf(no_coplayer)
+        if over.any() and np.isfinite(z[over]).any():
+            raise OverflowError("z**(N-1) overflowed")
+        some_coplayer = 1.0 - no_coplayer
         active = 1.0 - z
         coop_share = np.minimum(x / active, 1.0)
         p_d = np.where(active < _PARTICIPANT_EPS, 0.0, (rc * coop_share - g) * some_coplayer)

@@ -373,6 +373,18 @@ class TestErrorPaths:
                 "N, c, r, g, u, mode, density, dt, steps, x0, y0, z0") in capsys.readouterr().err
         assert not out.exists()
 
+    # the README test patches cmd_sweep out, so these checks must come before it
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "t=2,3"], "--grid key 't' is read by no sweep point"),
+        ([], "sweep requires at least one --grid key=v1,v2,..."),
+    ], ids=["unsweepable-key", "no-grid"])
+    def test_grid_is_checked_before_cmd_sweep(self, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.setattr(pggsim.cli, "cmd_sweep", lambda *a: calls.append(a) or 0)
+        assert main(["sweep", *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("grid, message", [
         ("g=0.5,1,abc", "invalid value for g: 'abc'"),
         ("r=2,3,9", "r must satisfy 1 < r < N"),

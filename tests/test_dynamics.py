@@ -190,7 +190,7 @@ class TestIntegrate:
 class TestIntegrateLockstep:
     """The lockstep kernel against the scalar `integrate`, sample for sample, bit for bit."""
 
-    # N from 2 to 7, all three modes, and the rare branches of the step
+    # N from 2 to 7, 20 and 60, all three modes, and the rare branches of the step
     RUNS = [
         (START, PGGParams(N=2, r=1.5), REPLICATOR),
         (START, PGGParams(N=3, r=2.0, u=1e-3), MUTATOR),
@@ -204,6 +204,9 @@ class TestIntegrateLockstep:
         # 1 - 0.9 < 0.1 in floats, so x / (1 - z) exceeds 1 and is clamped to 1
         (SimplexState(0.1, 0.0, 0.9), PGGParams(N=7, r=2.0), REPLICATOR),
         (SimplexState(0.1, 0.0, 0.9), PGGParams(N=3, r=2.5, u=0.2), MUTATOR),
+        # high exponents of z**(N-1), which libm pow raises as the scalar power does
+        (SimplexState(0.2, 0.3, 0.5), PGGParams(N=20, r=10.0), MUTATOR),
+        (SimplexState(0.2, 0.3, 0.5), PGGParams(N=60, r=30.0, u=1e-3), NETWORK),
     ]
 
     @pytest.mark.parametrize("keep", [1, 5, 41])

@@ -6,6 +6,8 @@ import pytest
 from pggsim.payoffs import (
     PGGParams,
     SimplexState,
+    _expected_terms,
+    _expected_terms_many,
     average_payoff,
     expected_profile,
     realized_payoffs,
@@ -148,6 +150,66 @@ class TestExpectedProfile:
         pay = np.where(s >= 2, params.r * params.c * jc / np.maximum(s - 1, 1) - params.g, 0.0)
         err = pay.std(ddof=1) / math.sqrt(len(pay))
         assert abs(pay.mean() - expected_profile(state, params).P_d) <= 3 * err
+
+
+def same_floats(got, want) -> bool:
+    """NaN where `want` has NaN, and every other element bit for bit, signs of zero included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+class TestArrayTerms:
+    """`_expected_terms_many`, which the lockstep sweep steps, against the scalar
+    `_expected_terms` that `integrate` steps: bit for bit, or the same OverflowError."""
+
+    EDGES = [0.0, -0.0, 1.0, 5e-324, -0.3, 2.0, math.inf, -math.inf, math.nan]
+
+    def test_float_power_is_libm_pow(self):
+        # np.power may run a SIMD loop that differs from libm in the last ulp;
+        # np.float_power's float64 loop must call libm pow, as Python's float power does
+        rng = np.random.default_rng(24)
+        bases = np.concatenate([rng.random(1000), 1.5 * rng.random(1000), 50.0 * rng.random(1000),
+                                1e-160 * rng.random(200), self.EDGES])
+        for n in [*range(1, 41), 59, 99, 299]:
+            want, overflowed = [], []
+            for base in bases.tolist():
+                try:
+                    want.append(pow(base, n))
+                except OverflowError:
+                    want.append(math.inf)
+                    overflowed.append(base)
+            with np.errstate(over="ignore"):
+                got = np.float_power(bases, float(n))
+            assert same_floats(got, want), n
+            assert n < 299 or overflowed, n
+
+    def test_array_terms_equal_scalar_terms(self):
+        games = [PGGParams(N=4), PGGParams(N=5), PGGParams(N=60, r=30.0)]
+        many = _expected_terms_many(games)
+        overflows = 0
+        for z in [0.0, -0.0, 1.0, 0.5, -0.3, 1e-200, math.inf, -math.inf, math.nan,
+                  1e100, -1e100, 1e77, 2.0]:
+            for x in [0.2, math.nan, 1e300]:
+                want = []
+                try:
+                    for game in games:
+                        want.append(_expected_terms(game)(x, z))
+                except OverflowError:
+                    want = None
+                xs, zs = np.full(len(games), x), np.full(len(games), z)
+                with np.errstate(all="ignore"):
+                    if want is None:
+                        overflows += 1
+                        with pytest.raises(OverflowError):
+                            many(xs, zs)
+                        continue
+                    got = many(xs, zs)
+                for got_terms, want_terms in zip(got, zip(*want)):
+                    assert same_floats(got_terms, want_terms), (x, z)
+        # +-1e100**4 and 1e77**59 overflow; 1e100**3, 1e77**4 and 2**59 do not
+        assert overflows == 3 * 3
 
 
 class TestParamValidation:
