@@ -81,15 +81,11 @@ def _write_outputs(out: Path, lines, plot=None) -> None:
         raise
 
 
-def _out_path(cfg: RunConfig, default: str) -> Path:
-    return Path(cfg.out or default)
-
-
 def cmd_ode(cfg: RunConfig) -> int:
     traj = integrate(
         cfg.initial_state(), cfg.pgg_params(), cfg.dynamics_mode(), cfg.dt, cfg.steps
     )
-    _write_outputs(_out_path(cfg, "ode.csv"),
+    _write_outputs(Path(cfg.out or "ode.csv"),
                    _csv_lines(("t", "x", "y", "z"),
                               zip(traj.times.tolist(), *traj.frequencies.T.tolist())),
                    traj if cfg.plot else None)
@@ -100,7 +96,7 @@ def cmd_abm(cfg: RunConfig) -> int:
     traj = run_abm(
         cfg.initial_population(), cfg.pgg_params(), cfg.learning_params(), cfg.t, cfg.seed
     )
-    _write_outputs(_out_path(cfg, "abm.csv"),
+    _write_outputs(Path(cfg.out or "abm.csv"),
                    _csv_lines(("gen", "frac_c", "frac_d", "frac_l", "mean_payoff"),
                               zip(traj.generations.tolist(), *traj.frequencies.T.tolist(),
                                   traj.mean_payoffs.tolist())),
@@ -110,7 +106,7 @@ def cmd_abm(cfg: RunConfig) -> int:
 
 def cmd_graph(cfg: RunConfig) -> int:
     graph = generate_er(cfg.graph_params())
-    _write_outputs(_out_path(cfg, "graph.txt"), [edge_list_text(graph)])
+    _write_outputs(Path(cfg.out or "graph.txt"), [edge_list_text(graph)])
     return 0
 
 
@@ -154,7 +150,7 @@ def cmd_sweep(cfg: RunConfig, grid: dict[str, list[tuple[str, object]]]) -> int:
             *st.time_means, *st.amplitude, *st.oscillation_counts,
             st.fixated if st.fixated is not None else -1,
         ])
-    _write_outputs(_out_path(cfg, "sweep.csv"),
+    _write_outputs(Path(cfg.out or "sweep.csv"),
                    _csv_lines(_SWEEP_PARAM_COLUMNS + stat_cols, rows))
     return 0
 

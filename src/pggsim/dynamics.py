@@ -37,7 +37,7 @@ class DynamicsMode:
     """Vector-field selection; density rescales the exploration term and is
     only consulted by the network-scaled kind."""
 
-    kind: DynamicsKind = DynamicsKind.REPLICATOR_MUTATOR
+    kind: DynamicsKind
     density: float = 1.0
 
     def __post_init__(self):
@@ -158,10 +158,13 @@ def integrate(initial: SimplexState, params: PGGParams, mode: DynamicsMode,
                 x, y, z = _clamp(step, x, y, z)
             freqs[step] = (x, y, z)
     except OverflowError as exc:
-        raise IntegrationError(f"state left the simplex at step {step}: a stage overflowed",
-                               step) from exc
+        raise _overflow_error(step) from exc
 
     return Trajectory(times=np.arange(steps + 1) * dt, frequencies=freqs)
+
+
+def _overflow_error(step: int) -> IntegrationError:
+    return IntegrationError(f"state left the simplex at step {step}: a stage overflowed", step)
 
 
 def _clamp(step: int, x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -190,8 +193,9 @@ def integrate_tails(runs: list[tuple[SimplexState, PGGParams, DynamicsMode]],
 
     Each result is a Trajectory with its own contiguous (keep, 3) array, or the
     IntegrationError that `integrate` raises for that run, whichever way the
-    group runs: in lockstep from _LOCKSTEP_MIN_RUNS runs on (run by run again
-    if libm `pow` overflows in one of them), else one `integrate` per run.
+    group runs: in lockstep from _LOCKSTEP_MIN_RUNS runs on, else one
+    `integrate` per run. Either way each run is integrated once, and a run
+    that fails stops only itself.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -201,10 +205,7 @@ def integrate_tails(runs: list[tuple[SimplexState, PGGParams, DynamicsMode]],
         raise ValueError(f"keep must be in [1, steps + 1], got {keep}")
 
     if len(runs) >= _LOCKSTEP_MIN_RUNS:
-        try:
-            return _integrate_lockstep(runs, dt, steps, keep)
-        except OverflowError:
-            pass  # the lockstep cannot tell which run overflowed; the scalar path can
+        return _integrate_lockstep(runs, dt, steps, keep)
     results = []
     for run in runs:
         try:
@@ -222,37 +223,44 @@ def _integrate_lockstep(runs: list[tuple[SimplexState, PGGParams, DynamicsMode]]
 
     Each run is one element of the arrays that the same `_rk4` step of the
     same `_flow` works on, through `_expected_terms_many`, so each kept
-    sample is bitwise equal to `integrate`'s. A run that leaves the simplex
-    is frozen at its last valid state from then on. An overflowing libm `pow`
-    raises OverflowError for the whole group, which cannot tell in which run
-    it happened.
+    sample is bitwise equal to `integrate`'s. After each step a live run
+    whose stage overflowed (`_expected_terms_many` marks it where the scalar
+    power raises) fails with `integrate`'s overflow error, and any other live
+    run off the simplex goes through `_clamp`. A failed run stays in the
+    arrays but is masked out of the test, and stepping stops once every run
+    has failed.
     """
     initials, params, modes = zip(*runs)
     x, y, z = (np.array(column) for column in zip(*(s.as_tuple() for s in initials)))
     mu = np.array([_effective_mu(p, m) for p, m in zip(params, modes)])
-    rk4 = _rk4(_flow(_expected_terms_many(params), mu), dt)
+    overflowed = np.zeros(len(runs), dtype=bool)
+    rk4 = _rk4(_flow(_expected_terms_many(params, overflowed), mu), dt)
 
     first = steps + 1 - keep
     tail = np.empty((len(runs), keep, 3))
     if first == 0:
         tail[:, 0] = np.column_stack((x, y, z))
     failed: dict[int, IntegrationError] = {}
+    alive = np.ones(len(runs), dtype=bool)
 
-    # A run in the no-game branch divides by active == 0, and a failed run's
-    # step may overflow; both values are discarded, so their warnings are too.
+    # A run in the no-game branch divides by active == 0, and an overflowing
+    # or failed run makes inf and NaN; those values are discarded, so their
+    # warnings are too. NaN >= 0 is False, so a NaN state fails the test.
     with np.errstate(all="ignore"):
         for step in range(1, steps + 1):
-            nx, ny, nz = rk4(x, y, z)
-            for k in np.flatnonzero(~((nx >= 0.0) & (ny >= 0.0) & (nz >= 0.0))).tolist():
-                if k not in failed:
+            x, y, z = rk4(x, y, z)
+            low = np.minimum(np.minimum(x, y), z)
+            if not low.min(initial=np.inf, where=alive) >= 0.0 or overflowed.any():
+                for k in np.flatnonzero(alive & (overflowed | ~(low >= 0.0))).tolist():
                     try:
-                        nx[k], ny[k], nz[k] = _clamp(step, float(nx[k]), float(ny[k]), float(nz[k]))
-                        continue
+                        if overflowed[k]:
+                            raise _overflow_error(step)
+                        x[k], y[k], z[k] = _clamp(step, float(x[k]), float(y[k]), float(z[k]))
                     except IntegrationError as exc:
-                        failed[k] = exc
-                nx[k], ny[k], nz[k] = x[k], y[k], z[k]
-
-            x, y, z = nx, ny, nz
+                        failed[k], alive[k] = exc, False
+                if not alive.any():
+                    break
+                overflowed[:] = False
             if step >= first:
                 tail[:, step - first] = np.column_stack((x, y, z))
 

@@ -124,7 +124,7 @@ def _expected_terms(params: PGGParams):
     return terms
 
 
-def _expected_terms_many(games):
+def _expected_terms_many(games, overflowed: np.ndarray):
     """Array twin of `_expected_terms` for a sequence of games: x, z and both
     results hold one element per game, and each element sees the same
     operations in the same order as the scalar form, r*c first.
@@ -132,10 +132,12 @@ def _expected_terms_many(games):
     z**(N-1) is np.float_power, whose float64 loop calls libm `pow` once per
     element, as the scalar float power does; numpy's `**` (np.power) runs a
     SIMD loop that can differ from it in the last ulp. The results are
-    therefore bitwise equal to the scalar form's. Where a finite z gives an
-    infinite power, the scalar power raises OverflowError, and so does this
-    form. Where active < _PARTICIPANT_EPS the division may divide by 0. The
-    caller masks the warnings of both, and np.where discards the quotient.
+    therefore bitwise equal to the scalar form's wherever that form returns.
+    Where a finite z gives an infinite power, the scalar power raises
+    OverflowError; this form raises nothing, sets that game's element of the
+    boolean array `overflowed` and returns a value the caller discards. Where
+    active < _PARTICIPANT_EPS the division may divide by 0. The caller masks
+    the warnings of both, and np.where discards the quotient.
     """
     exps = np.array([float(p.N - 1) for p in games])
     c, rc, g = (np.array(v) for v in zip(*((p.c, p.r * p.c, p.g) for p in games)))
@@ -143,8 +145,8 @@ def _expected_terms_many(games):
     def terms(x, z):
         no_coplayer = np.float_power(z, exps)
         over = np.isinf(no_coplayer)
-        if over.any() and np.isfinite(z[over]).any():
-            raise OverflowError("z**(N-1) overflowed")
+        if over.any():
+            overflowed[over & np.isfinite(z)] = True
         some_coplayer = 1.0 - no_coplayer
         active = 1.0 - z
         coop_share = np.minimum(x / active, 1.0)

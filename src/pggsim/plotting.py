@@ -21,11 +21,6 @@ _COLORS = {"C": "blue", "D": "red", "L": "yellow"}
 _MAX_POINTS = 4000
 
 
-def _project(freqs: np.ndarray) -> np.ndarray:
-    corners = np.array([_CORNER_C, _CORNER_D, _CORNER_L])
-    return freqs @ corners
-
-
 def plot_simplex(traj, out: str | Path) -> None:
     """Write the trajectory to `out` as an SVG polyline inside a labeled triangle."""
     freqs = np.asarray(traj.frequencies, dtype=float)
@@ -34,7 +29,7 @@ def plot_simplex(traj, out: str | Path) -> None:
     if len(freqs) > _MAX_POINTS:
         keep = np.unique(np.linspace(0, len(freqs) - 1, _MAX_POINTS).astype(int))
         freqs = freqs[keep]
-    points = _project(freqs)
+    points = freqs @ np.array([_CORNER_C, _CORNER_D, _CORNER_L])
 
     triangle = " ".join(
         f"{px:.2f},{py:.2f}" for px, py in (_CORNER_C, _CORNER_D, _CORNER_L)

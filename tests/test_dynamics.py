@@ -229,11 +229,13 @@ class TestIntegrateLockstep:
 
     def test_failed_runs_give_the_scalar_error(self):
         # at dt=2 the first two runs leave the simplex at steps 2 and 1; in the
-        # last, r*c is inf, so inf - inf makes the state NaN at step 1
+        # fourth, r*c is inf, so inf - inf makes the state NaN at step 1; in the
+        # last, libm pow overflows at step 1
         runs = [(START, PGGParams(r=1.5, g=3.0), MUTATOR),
                 (START, PGGParams(r=1.5, g=3.0, u=1e-2), MUTATOR),
                 (START, PGGParams(r=1.5, g=0.5), MUTATOR),
-                (START, PGGParams(c=1e308), MUTATOR)]
+                (START, PGGParams(c=1e308), MUTATOR),
+                (START, PGGParams(N=60, r=30.0, c=1e10), MUTATOR)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = _integrate_lockstep(runs, 2.0, 30, 4)
@@ -245,7 +247,23 @@ class TestIntegrateLockstep:
             assert (str(got), got.step) == (str(want.value), want.value.step)
         assert [err.step for err in results[:2]] == [2, 1]
         assert str(results[3]) == "state left the simplex at step 1: (nan, nan, nan)"
+        assert str(results[4]) == "state left the simplex at step 1: a stage overflowed"
         assert np.array_equal(results[2].frequencies, integrate(*runs[2], 2.0, 30).frequencies[-4:])
+
+    def test_stepping_stops_after_the_last_failure(self, monkeypatch):
+        # 32 runs at dt=2: with u=1e-10 each leaves the simplex at step 2, with u=1e-2 at step 1
+        runs = [(START, PGGParams(r=1.5, g=3.0, u=u), MUTATOR) for u in (1e-10, 1e-2)] * 16
+        stepped = []
+        real = pggsim.dynamics._rk4
+
+        def counted(flow, dt):
+            step = real(flow, dt)
+            return lambda *state: stepped.append(1) or step(*state)
+
+        monkeypatch.setattr(pggsim.dynamics, "_rk4", counted)
+        results = integrate_tails(runs, 2.0, 30, 4)
+        assert [err.step for err in results] == [2, 1] * 16
+        assert len(stepped) == 2
 
     # integrate_tails checks the arguments of both paths, lockstep for 36 runs
     def test_rejects_bad_arguments(self):
