@@ -221,7 +221,14 @@ class TestGoldenOutputs:
         # sampling paths run
         (["abm", "--seed", "2", "--set", "N=20", "--set", "r=10", "--set", "t=1000"],
          "8ee284d2d9161caa95247a09eab463231353335b2c17c3a7de3d5d73c721cec2"),
-    ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep", "abm-large-group"])
+        # 10,001 and 5,001 rows, past two and one of the CSV writer's 4,096-row
+        # chunks; recorded when whole columns were formatted at once
+        (["ode", "--set", "steps=10000"],
+         "3dbf4f592d96491b9aefb2d580626994e2c3d0f616db09f578b8185f34e237cf"),
+        (["abm", "--seed", "3", "--set", "t=5000", "--set", "M=50"],
+         "19a8002b927cf50d514d47fb68bc7d10692d3747899609b0939a8cfaa61e95f1"),
+    ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep", "abm-large-group",
+            "ode-chunks", "abm-chunks"])
     def test_digest(self, tmp_path, argv, digest):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
