@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -233,6 +234,44 @@ class TestGoldenOutputs:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
         assert sha256(out) == digest
+
+
+class TestColumnRows:
+    """`_column_rows` against converting each column whole, across its chunk boundaries."""
+
+    CHUNK = pggsim.cli._ROWS_PER_CHUNK
+    HEADER = ("gen", "x", "y", "z", "payoff")
+
+    @staticmethod
+    def columns(n):
+        # an int column, three strided float columns as cmd_abm passes them, one float column
+        freqs = np.random.default_rng(n).dirichlet([1.0, 1.0, 1.0], size=n)
+        return (np.arange(n), *freqs.T, np.linspace(-1.0, 1.0, n))
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_rows_and_text_equal_whole_columns(self, n):
+        columns = self.columns(n)
+        whole = list(zip(*(column.tolist() for column in columns)))
+        rows = list(pggsim.cli._column_rows(*columns))
+        # repr tells 1 from 1.0 and shows every bit of a float
+        assert repr(rows) == repr(whole)
+        assert (list(pggsim.cli._csv_lines(self.HEADER, iter(rows)))
+                == list(pggsim.cli._csv_lines(self.HEADER, whole)))
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        peaks = []
+        for chunks in (1, 4):
+            columns = self.columns(chunks * self.CHUNK)
+            tracemalloc.start()
+            try:
+                for _ in pggsim.cli._csv_lines(self.HEADER, pggsim.cli._column_rows(*columns)):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # whole columns, or a chunk held while the next is made, would take
+        # 4 or 2 times as much at 4 chunks as at 1
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 class TestEquilibriumCommand:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import pggsim.dynamics
 from pggsim.dynamics import (
@@ -26,6 +28,29 @@ NETWORK = DynamicsMode(DynamicsKind.NETWORK_SCALED_MUTATOR, density=0.5)
 
 def states(count, seed):
     return [SimplexState(*map(float, v)) for v in random_simplex_states(count, seed)]
+
+
+# each weight 0, tiny or of order 1, so starts fall on, near and off the boundary
+_weight = st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 1.0))
+_starts = (st.tuples(_weight, _weight, _weight).filter(any)
+           .map(lambda w: SimplexState(*(v / sum(w) for v in w))))
+
+
+@st.composite
+def lockstep_runs(draw):
+    """One (initial, params, mode) run: N up to 300, c and g up to 1e300, any u, kind and density.
+
+    Half of the draws of N, c, g and u come from a typical range, so that many
+    runs last long enough for a last-ulp difference or a late failure to show.
+    """
+    n = draw(st.one_of(st.integers(2, 8), st.integers(2, 300)))
+    params = PGGParams(M=n, N=n, r=draw(st.floats(1.0, n, exclude_min=True, exclude_max=True)),
+                       c=draw(st.one_of(st.floats(0.1, 5.0),
+                                        st.floats(0.0, 1e300, exclude_min=True))),
+                       g=draw(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300))),
+                       u=draw(st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 1.0))))
+    mode = DynamicsMode(draw(st.sampled_from(DynamicsKind)), draw(st.floats(0.0, 1.0)))
+    return draw(_starts), params, mode
 
 
 class TestReplicatorRhs:
@@ -186,6 +211,17 @@ class TestIntegrate:
         tail = traj.frequencies[-20_000:, 2]
         assert tail.mean() >= 0.95
 
+    def test_replicator_log_ratio_falls_at_every_step(self):
+        # d/dt ln(x/y) = P_c - P_d = -c (1 - z**(N-1)) < 0 wherever z < 1, so ln(x/y)
+        # is strictly monotone on interior orbits and none can close (criterion 04)
+        rng = np.random.default_rng(4)
+        for state in states(20, 4):
+            n = int(rng.choice([3, 5, 8]))
+            params = PGGParams(N=n, r=float(rng.uniform(1.0, n)), g=float(rng.choice([0, 0.5, 2])),
+                               c=float(rng.choice([0.5, 1, 3])))
+            freqs = integrate(state, params, REPLICATOR, 0.01, 2000).frequencies
+            assert (np.diff(np.log(freqs[:, 0] / freqs[:, 1])) < 0).all(), (state, params)
+
 
 class TestIntegrateLockstep:
     """The lockstep kernel against the scalar `integrate`, sample for sample, bit for bit."""
@@ -226,6 +262,27 @@ class TestIntegrateLockstep:
             assert np.array_equal(got.times, want.times[-keep:])
             assert np.array_equal(got.frequencies, want.frequencies[-keep:])
             assert got.frequencies.shape == (keep, 3) and got.frequencies.flags.c_contiguous
+
+    # no shrink phase: shrinking a failing group of 32 runs takes many minutes
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.lists(lockstep_runs(), min_size=32, max_size=32),
+           st.one_of(st.floats(0.0, 0.5, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True)),
+           st.integers(1, 50).flatmap(lambda steps: st.tuples(st.just(steps),
+                                                              st.integers(1, steps + 1))))
+    def test_random_groups_equal_scalar_integrate(self, runs, dt, steps_keep):
+        steps, keep = steps_keep
+        results = _integrate_lockstep(runs, dt, steps, keep)
+        for run, got in zip(runs, results):
+            try:
+                want = integrate(*run, dt, steps)
+            except IntegrationError as exc:
+                assert isinstance(got, IntegrationError)
+                assert (str(got), got.step) == (str(exc), exc.step)
+            else:
+                assert isinstance(got, Trajectory)
+                assert got.times.tobytes() == want.times[-keep:].tobytes()
+                assert got.frequencies.tobytes() == want.frequencies[-keep:].tobytes()
 
     def test_failed_runs_give_the_scalar_error(self):
         # at dt=2 the first two runs leave the simplex at steps 2 and 1; in the
