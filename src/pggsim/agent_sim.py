@@ -233,14 +233,16 @@ class _Laws:
     holds it for move j, times the adoption probability; cell[j] is move
     j's group.
 
-    law(n_c, n_d) builds the law of that state, and keeps nothing: p_change,
-    the probability that an event changes the state, the read-only arrays
-    stay, the distribution of the outcome of an event that keeps it, and
-    cum, the cumulative masses of the moves. budget is the number of laws
-    that fit in _LAW_BYTES beside comb, groups, keep, cell, take, moves and
-    stay_pay. laws maps states to the laws runs have built, at most one
-    run's budget of them (see run_abm). A game whose budget is 0 holds only
-    what the per-event path reads: pay and adopt.
+    The laws are rows of the store, budget rows preallocated: law i is
+    ps[i], the probability that an event changes the state, stays[i], the
+    distribution of the outcome of an event that keeps it, and cums[i], the
+    cumulative masses of the moves. Runs read them through these read-only
+    views; law(n_c, n_d, i) writes the law of state (n_c, n_d) into row i
+    and nothing else. budget is the number of laws that fit in _LAW_BYTES
+    beside comb, groups, keep, cell, take, moves and stay_pay. laws maps
+    the key n_c (M + 1) + n_d of each state to its row, the first rows of
+    the store, at most one run's budget of them (see run_abm). A game whose
+    budget is 0 holds only what the per-event path reads: pay and adopt.
     """
 
     def __init__(self, params: PGGParams, lp: LearningParams):
@@ -276,7 +278,7 @@ class _Laws:
         # round cell its groups, keep and stay_pay entries
         table_bytes = 8 * (m + 1) * (n + 1) + 96 * n_moves + 40 * len(cells)
         self.budget = max(0, _LAW_BYTES - table_bytes) // row_bytes
-        self.laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
+        self.laws: dict[int, int] = {}
         if not self.budget:
             return
 
@@ -309,22 +311,29 @@ class _Laws:
         self.take = np.array(take)
         self.stay_pay = np.array([0.0, *itertools.chain.from_iterable(pay)])
         self.m = m
+        # untouched rows take no memory, only address space
+        self._store = (np.empty(self.budget), np.empty((self.budget, len(keep))),
+                       np.empty((self.budget, len(take))))
+        self.ps, self.stays, self.cums = (table.view() for table in self._store)
+        for view in (self.ps, self.stays, self.cums):
+            view.flags.writeable = False
 
     def masses(self, n_c: int, n_d: int) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities of one event's outcomes in state (n_c, n_d): those that keep it, the moves."""
         w = self.comb[(n_c, n_d, self.m - n_c - n_d), self.groups].prod(axis=1)
         return w[:len(self.keep)] * self.keep, w[self.cell] * self.take
 
-    def law(self, n_c: int, n_d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    def law(self, n_c: int, n_d: int, row: int) -> None:
         stay, change = self.masses(n_c, n_d)
         kept = float(stay.sum())
         cum = np.cumsum(change)
         moved = float(cum[-1])
         if kept > 0.0:
             stay /= kept
-        # shared by every run of the game
-        stay.flags.writeable = cum.flags.writeable = False
-        return moved / (kept + moved), stay, cum
+        ps, stays, cums = self._store
+        ps[row] = moved / (kept + moved)
+        stays[row] = stay
+        cums[row] = cum
 
 
 def run_abm(
@@ -353,10 +362,16 @@ def run_abm(
     counts = list(initial.counts())
     game = _Laws(params, lp)
     pay, adopt, law_of, shared = game.pay, game.adopt, game.law, game.laws
-    # the states this run admits to the law path, with their laws: the path
-    # depends on this run alone, whatever the game's store holds
-    laws: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
     budget = min(_LAW_BUDGET, game.budget)
+    # this run writes the laws it builds into the rows after the store's,
+    # so those must hold its whole budget
+    if len(shared) + budget > game.budget:
+        shared.clear()
+    start = top = len(shared)
+    # the rows of the states this run admits to the law path, by state key:
+    # the path depends on this run alone, whatever the game's store holds
+    rows: dict[int, int] = {}
+    stride = m + 1
 
     # uniforms as Python floats, chunk by chunk: indexing numpy makes a scalar per read
     chunk = (n + 3) * min(m, _CHUNK_EVENTS)
@@ -370,15 +385,15 @@ def run_abm(
     played = np.zeros(generations + 1)
     freqs[0] = counts
 
-    # the (generation, length, stay law) of each stretch whose kept outcomes
+    # the (generation, length, law row) of each stretch whose kept outcomes
     # are not drawn yet: they never move the state, so they are drawn later,
     # up to batch stretches in one multinomial call
-    held: list[tuple[int, int, np.ndarray]] = []
+    held: list[tuple[int, int, int]] = []
     batch = _BATCH_STRETCHES
 
     def draw_held():
-        held_gen, held_run, held_stay = zip(*held)
-        drawn = rng.multinomial(held_run, held_stay)
+        held_gen, held_run, held_row = zip(*held)
+        drawn = rng.multinomial(held_run, game.stays[list(held_row)])
         # an int array: a tuple would be read as one multi-dimensional index
         at = np.array(held_gen)
         np.add.at(means, at, drawn @ game.stay_pay)
@@ -390,12 +405,16 @@ def run_abm(
         pay_count = 0
         left = m
         while left:
-            state = (counts[0], counts[1])
-            law = laws.get(state)
-            if law is None and len(laws) < budget:
-                law = laws[state] = shared.get(state) or law_of(*state)
+            key = counts[0] * stride + counts[1]
+            row = rows.get(key)
+            if row is None and len(rows) < budget:
+                row = shared.get(key)
+                if row is None:
+                    row, top = top, top + 1
+                    law_of(counts[0], counts[1], row)
+                rows[key] = row
 
-            if law is None:
+            if row is None:
                 # no law: one event at a time until the state changes
                 while left:
                     left -= 1
@@ -445,7 +464,7 @@ def run_abm(
                 continue
 
             # a stretch: the events that keep the state, then the one that changes it
-            p, stay, cum = law
+            p = game.ps.item(row)
             if p == 0.0:
                 run = left
             elif p == 1.0:
@@ -455,14 +474,15 @@ def run_abm(
                 x = math.log(1.0 - next(uniforms)) / math.log1p(-p)
                 run = left if x >= left else int(x)
             if run:
-                held.append((gen, run, stay))
+                held.append((gen, run, row))
                 if len(held) == batch:
                     draw_held()
                 left -= run
                 if not left:
                     break
             # the first move whose cumulative mass reaches a point of (0, total]
-            j = bisect_left(cum, (1.0 - next(uniforms)) * cum[-1])
+            cum = game.cums[row]
+            j = bisect_left(cum, (1.0 - next(uniforms)) * cum.item(-1))
             source, target, round_pay, round_played = game.moves[j]
             counts[source] -= 1
             counts[target] += 1
@@ -477,9 +497,10 @@ def run_abm(
 
     if held:
         draw_held()
-    # the game keeps no more laws than one run may build
-    if len(shared.keys() | laws.keys()) <= budget:
-        shared.update(laws)
+    # the game keeps no more laws than one run may build; the laws this run
+    # built are its rows from start on
+    if len(shared) + top - start <= budget:
+        shared.update((key, row) for key, row in rows.items() if row >= start)
     freqs /= m
     np.divide(means, played, out=means, where=played > 0)
     return AbmTrajectory(generations=gens, frequencies=freqs, mean_payoffs=means)

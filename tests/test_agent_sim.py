@@ -128,7 +128,7 @@ def counting_builds(game):
     """Record the states whose laws runs of this game build while the block runs."""
     built = []
     law = game.law
-    game.law = lambda *state: built.append(state) or law(*state)
+    game.law = lambda n_c, n_d, row: built.append((n_c, n_d)) or law(n_c, n_d, row)
     try:
         yield built
     finally:
@@ -641,9 +641,10 @@ class TestSharedLaws:
         assert warm == fresh
 
     def test_shared_laws_are_read_only(self):
-        params, lp, _ = self.GAMES["M6"]
-        _, stay, cum = agent_sim._Laws(params, lp).law(2, 2)
-        for array in (stay, cum):
+        self.run("M6", None, seed=1)
+        game = agent_sim._Laws(*self.GAMES["M6"][:2])
+        row = game.laws[2 * (EXACT_PARAMS.M + 1) + 2]
+        for array in (game.ps, game.stays, game.cums, game.stays[row], game.cums[row]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 

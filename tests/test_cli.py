@@ -193,7 +193,9 @@ class TestGoldenOutputs:
     event; with the old table size the file is the same. It was recorded once
     more when the law path's per-move and per-cell tables began to count
     against the budget too, which fell to 368 there, with the same reason
-    and the same check. A rerun-equality check
+    and the same check. All four abm digests kept their bytes when a game's
+    laws became rows of preallocated arrays keyed by one int per state: the
+    rows hold the same values, so the same draws. A rerun-equality check
     cannot see a change in the random stream or the number formatting; these
     can. A change that alters a stream on purpose updates the digest and
     says so.
