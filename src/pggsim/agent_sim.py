@@ -20,16 +20,17 @@ are drawn later: up to _BATCH_STRETCHES stretches at a time in one
 multinomial call, each from its own state's law. Given the state path, each
 stretch's outcomes are an independent multinomial, and drawing them later
 from fresh generator output keeps that joint law; only the random stream
-differs from drawing them at once. A run takes this path in the first
-distinct states it visits, at most _LAW_BUDGET of them and no more than fit
-in _LAW_BYTES; in every other state the events are simulated one at a time
-until the state changes. Both paths sample the same law, and which one runs
-depends only on the run's own history, so the process is exact in
-distribution. The laws themselves belong to the game:
-a run takes each admitted state's law from the game's store or builds it,
-and at its end adds its laws to the store if both together stay within its
-budget, so a game keeps no more laws than one run builds. A law's bits do
-not depend on when it was built, so what ran earlier changes no output.
+differs from drawing them at once. A run counts its visits to each state
+and admits a state to this path on its _LAW_VISIT-th visit, at most
+_LAW_BUDGET states and no more than fit in _LAW_BYTES; in every other visit
+the events are simulated one at a time until the state changes. Both paths
+sample the same law, and which one runs depends only on the run's own
+history, so the process is exact in distribution. The laws themselves belong
+to the game, as rows of preallocated arrays: a run takes each admitted
+state's law from the game's store or builds it into a free row, and at its
+end adds its laws to the store if both together stay within its budget, so
+a game keeps no more laws than one run builds. A law's bits do not depend on
+when or by which run it was built, so what ran earlier changes no output.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -162,25 +163,31 @@ def gillespie_select(propensities, z1: float) -> int:
     return len(props) - 1  # guards against rounding in the final bracket
 
 
-# Most distinct states a run takes the law path in, the first it visits. A law
-# is 88 float64 values at N=5 (704 bytes). At seed 1, abm-default (10^6 events
-# at M=100) visits 1,809 distinct states, in 45,827 law-path stretches and 1,624
-# per-event state visits; abm-explore (M=1000, pe=0.05) visits 9,293, in 1,364
-# stretches and 282,612 per-event visits. There, the peak RSS of a process that
-# runs only run_abm was 34.3 MB with no laws, 36.4 MB with this budget and
-# 42.7 MB with as many laws as _LAW_BYTES allows (2-core x86 host). A run drops
-# no law: that walk has so little locality that an LRU cache of 2048 laws built
-# 45.3k of them. The count stays beside _LAW_BYTES because a law's size grows as
-# N^2, so no one byte bound fits both small and large groups: at M=100, pe=1e-3
-# (seeds 1-4, 10^4 generations) a 1 MiB bound alone keeps 581 laws at N=8
-# instead of 1024, and a run simulates 30.4k events one at a time instead of
-# 11.3k, while at N=5 it keeps 1,472 laws, more than this count.
-_LAW_BUDGET = 1024
+# Most states a run admits to the law path. A law is 89 float64 values at N=5
+# (712 bytes), and its store entry takes at most 112 bytes more. Over seeds 1-4
+# (10^6 events), abm-default (M=100) visits 1,962-2,404 distinct states and
+# builds 715-841 laws; abm-explore (M=1000, pe=0.05) visits 9,721-10,233 and
+# spends this budget, and 71-77% of its state visits are law-path stretches,
+# against 0.5% when the first 1024 distinct states got the laws. With no count
+# bound it would build 6,023-6,741 laws, for 90-92% of its visits. At M=200
+# and M=400 (pe=0.05) 95-98% of visits are stretches, against 0.6-73%. The peak
+# RSS of `pggsim abm` on abm-explore is 38.8 MB with this budget, 39.5 MB with
+# 4096 and 37.1 MB under the old rule (2-core x86 host). The count stays
+# beside _LAW_BYTES because a law's size grows as N^2, so no one byte bound
+# fits both small and large groups.
+_LAW_BUDGET = 3072
+# The visit on which a run admits a state, while it has built fewer laws than
+# its budget: its earlier visits run event by event. A walk that explores
+# keeps moving but comes back (Traulsen et al., PNAS 106:709, 2009), so the
+# laws go to the states it revisits. Of 2 to 6 (mean of seeds 1-4, this
+# budget), 4 and 5 leave the fewest events to the per-event path on
+# abm-explore, 262k and 251k of 10^6 (995k under the old rule), and 4 the
+# fewer on abm-default, 27k against 32k (12k under the old rule).
+_LAW_VISIT = 4
 # Bytes the laws one run builds may take, the game's law-path tables included:
-# a law holds about 3 N^2 values, so at large N fewer laws fit. A kept law takes
-# more than its values: about 1.1 KB at N=5 (tracemalloc, M=100 and M=1000), with
-# its two array headers, tuple and dict slot. Within this bound every C(M, N) is
-# below 1e162 (at worst 10^161.3, at M=2824, N=83), so no weight overflows.
+# a law holds about 3 N^2 values, so at large N fewer laws fit. Within this
+# bound every C(M, N) is below 1e162 (at worst 10^161.3, at M=2824, N=83), so
+# no weight overflows.
 _LAW_BYTES = 4 << 20
 # Events' worth of uniforms run_abm draws from its generator at a time. Every
 # uniform is read once, in order, but the refills land between the batched
@@ -269,10 +276,12 @@ class _Laws:
             )
         self.pay, self.adopt = pay, adopt
 
-        # a law's stay row, skip included, and the cumulative masses of its
-        # 6 explorations and 6 N (N - 1) / 2 adoption moves
+        # a law's row: its change probability, its stay row, skip included,
+        # and the cumulative masses of its 6 explorations and 6 N (N - 1) / 2
+        # adoption moves; and its store entry: a key and a row int of 28 bytes
+        # each and a dict slot, at most 56 bytes in a dict that just grew
         n_moves = 6 + 3 * n * (n - 1)
-        row_bytes = 8 * (len(cells) + 1 + n_moves)
+        row_bytes = 8 * (len(cells) + 2 + n_moves) + 112
         # the law-path tables at their sizes under tracemalloc: comb; per move
         # its tuple in moves (80 bytes with its list slot), take and cell; per
         # round cell its groups, keep and stay_pay entries
@@ -324,16 +333,14 @@ class _Laws:
         return w[:len(self.keep)] * self.keep, w[self.cell] * self.take
 
     def law(self, n_c: int, n_d: int, row: int) -> None:
+        ps, stays, cums = self._store
         stay, change = self.masses(n_c, n_d)
         kept = float(stay.sum())
-        cum = np.cumsum(change)
-        moved = float(cum[-1])
+        moved = float(np.add.accumulate(change, out=cums[row])[-1])
         if kept > 0.0:
             stay /= kept
-        ps, stays, cums = self._store
-        ps[row] = moved / (kept + moved)
         stays[row] = stay
-        cums[row] = cum
+        ps[row] = moved / (kept + moved)
 
 
 def run_abm(
@@ -371,6 +378,10 @@ def run_abm(
     # the rows of the states this run admits to the law path, by state key:
     # the path depends on this run alone, whatever the game's store holds
     rows: dict[int, int] = {}
+    # how many times this run visited each state it has not admitted, while
+    # it may still admit states
+    visits: dict[int, int] = {}
+    visit = _LAW_VISIT
     stride = m + 1
 
     # uniforms as Python floats, chunk by chunk: indexing numpy makes a scalar per read
@@ -408,11 +419,15 @@ def run_abm(
             key = counts[0] * stride + counts[1]
             row = rows.get(key)
             if row is None and len(rows) < budget:
-                row = shared.get(key)
-                if row is None:
-                    row, top = top, top + 1
-                    law_of(counts[0], counts[1], row)
-                rows[key] = row
+                seen = visits.pop(key, 0) + 1
+                if seen < visit:
+                    visits[key] = seen
+                else:
+                    row = shared.get(key)
+                    if row is None:
+                        row, top = top, top + 1
+                        law_of(counts[0], counts[1], row)
+                    rows[key] = row
 
             if row is None:
                 # no law: one event at a time until the state changes

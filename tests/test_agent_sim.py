@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
 import functools
+import gc
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,11 +115,12 @@ def final_counts(traj, m: int) -> tuple[int, ...]:
 
 
 @contextlib.contextmanager
-def sampler(budget=None, batch=None, chunk=None):
-    """Run with the module's law budget, stretch batch and uniform chunk replaced, each unless None."""
+def sampler(budget=None, batch=None, chunk=None, visit=None):
+    """Run with the module's law budget, stretch batch, uniform chunk and admitting visit
+    replaced, each unless None."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("_LAW_BUDGET", budget), ("_BATCH_STRETCHES", batch),
-                            ("_CHUNK_EVENTS", chunk)):
+                            ("_CHUNK_EVENTS", chunk), ("_LAW_VISIT", visit)):
             if value is not None:
                 mp.setattr(agent_sim, name, value)
         yield
@@ -135,20 +138,24 @@ def counting_builds(game):
         del game.law  # the wrapper holds the game: drop it, or the game outlives its cache
 
 
-# Sampling paths by name. A budget of 0 runs every event one at a time, and
-# at the exact tests' settings a budget of 2 mixes that with the law path. A
-# batch of 1 or 2 draws the held kept outcomes within the generation that
-# holds them and, over several generations, across generation ends. A chunk
-# of 1 event's worth of uniforms (N + 3 = 6 at N = 3) refills the uniform
-# stream within events and stretches; at the default chunk one generation of
-# the exact tests reads no more than one chunk.
+# Sampling paths by name. A visit of 1 admits each state on its first visit,
+# so every state gets a law; a budget of 0 runs every event one at a time,
+# and at the exact tests' settings a budget of 2 mixes that with the law
+# path. So does a visit of 2: within one generation of the exact tests
+# about a fifth of the runs come back to a state and admit it. A batch of 1
+# or 2 draws the held kept outcomes within the generation that holds them
+# and, over several generations, across generation ends. A chunk of 1
+# event's worth of uniforms (N + 3 = 6 at N = 3) refills the uniform stream
+# within events and stretches; at the default chunk one generation of the
+# exact tests reads no more than one chunk.
 PATHS = {
-    "law": {},
+    "law": {"visit": 1},
     "per-event": {"budget": 0},
-    "mixed": {"budget": 2},
-    "mixed-chunk1": {"budget": 2, "chunk": 1},
-    "law-batch1": {"batch": 1},
-    "law-batch2": {"batch": 2},
+    "mixed": {"budget": 2, "visit": 1},
+    "mixed-chunk1": {"budget": 2, "chunk": 1, "visit": 1},
+    "law-batch1": {"batch": 1, "visit": 1},
+    "law-batch2": {"batch": 2, "visit": 1},
+    "visit2": {"visit": 2},
 }
 
 
@@ -392,7 +399,7 @@ def chi2_survival(x: float, df: int) -> float:
 
 
 # The exact one-generation tests: M events from (2, 2, 2) at these settings.
-# All 28 states fit in the default law budget, so that path gives every
+# All 28 states fit in the default law budget, so the law path gives every
 # state a law.
 EXACT_PARAMS = PGGParams(M=6, N=3, r=2.5)
 EXACT_LP = LearningParams(beta=2.0, pr=0.7, pe=0.2)
@@ -496,7 +503,8 @@ class TestExactOneGenerationLaw:
         # few events change the state, so most generations end inside a
         # stretch, whose kept outcomes the mean payoff must still count
         lp = LearningParams(beta=2.0, pr=0.2, pe=0.02)
-        payoffs = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 5000)[1][:, 0]
+        with sampler(**PATHS["law"]):
+            payoffs = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 5000)[1][:, 0]
         assert_mean_payoff_matches(EXACT_PARAMS, lp, (2, 2), payoffs)
 
 
@@ -537,7 +545,8 @@ class TestExactThreeGenerationLaw:
         _, index, law = one_event_law(EXACT_PARAMS, lp)
         reach = np.linalg.matrix_power(law, 3 * EXACT_PARAMS.M)[index[2, 2]]
         assert sum(reach[index[state]] for state in ((6, 0), (0, 6), (0, 0))) > 0.01
-        finals = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 10_000, generations=3)[0]
+        with sampler(**PATHS["law"]):
+            finals = one_generation(EXACT_PARAMS, lp, (2, 2, 2), 10_000, generations=3)[0]
         assert_matches_exact_law(EXACT_PARAMS, lp, (2, 2), finals, generations=3)
 
 
@@ -595,24 +604,42 @@ class TestSharedLaws:
         "M6": (EXACT_PARAMS, EXACT_LP, (2, 2, 2)),
         "M20": (PGGParams(M=20, N=4, r=2.0), LearningParams(beta=2.0, pr=0.7, pe=0.05), (6, 7, 7)),
     }
-    # (law budget, game) per run: the games alternate, and each budget change
-    # comes while the game is still cached from the run before
-    STEPS = [(None, "M6"), (None, "M20"), (0, "M20"), (0, "M6"),
-             (2, "M6"), (2, "M20"), (None, "M20"), (None, "M6")]
+    # (law budget, admitting visit, game) per run: the games alternate, and
+    # each budget or visit change comes while the game is still cached from
+    # the run before
+    STEPS = [(None, None, "M6"), (None, None, "M20"), (0, None, "M20"), (0, None, "M6"),
+             (2, 1, "M6"), (2, 2, "M20"), (None, 1, "M20"), (None, 2, "M20"),
+             (None, 1, "M6"), (None, None, "M6")]
 
-    def run(self, name, budget, seed):
+    def run(self, name, budget, seed, visit=None):
         params, lp, start = self.GAMES[name]
-        with sampler(budget=budget):
+        with sampler(budget=budget, visit=visit):
             traj = run_abm(Population(*start), params, lp, 30, seed)
         return traj.frequencies.tobytes() + traj.mean_payoffs.tobytes()
 
     def test_output_does_not_depend_on_earlier_runs(self):
-        warm = [self.run(name, budget, seed) for seed, (budget, name) in enumerate(self.STEPS)]
+        warm = [self.run(name, budget, seed, visit)
+                for seed, (budget, visit, name) in enumerate(self.STEPS)]
         fresh = []
-        for seed, (budget, name) in enumerate(self.STEPS):
+        for seed, (budget, visit, name) in enumerate(self.STEPS):
             agent_sim._Laws.cache_clear()
-            fresh.append(self.run(name, budget, seed))
+            fresh.append(self.run(name, budget, seed, visit))
         assert warm == fresh
+
+    @pytest.mark.parametrize("visit", [1, 2, 4])
+    def test_law_is_built_on_the_admitting_visit(self, visit):
+        # with no channel the counts never change, so each generation is one
+        # visit to the starting state: its law comes on generation `visit`,
+        # and what earlier runs counted does not carry over
+        params, lp = PGGParams(M=30, N=5), LearningParams(1.0, 0.0, 0.0)
+        agent_sim._Laws.cache_clear()
+        game = agent_sim._Laws(params, lp)
+        with sampler(visit=visit), counting_builds(game) as built:
+            for _ in range(2):
+                run_abm(Population(12, 10, 8), params, lp, visit - 1, seed=4)
+            assert built == []
+            run_abm(Population(12, 10, 8), params, lp, visit, seed=4)
+        assert built == [(12, 10)]
 
     def test_runs_of_one_game_reuse_its_laws(self):
         params, lp, _ = self.GAMES["M20"]
@@ -640,6 +667,20 @@ class TestSharedLaws:
             fresh.append(self.run("M20", 8, seed))
         assert warm == fresh
 
+    def test_store_rows_hold_their_states_laws(self):
+        params, lp, _ = self.GAMES["M20"]
+        agent_sim._Laws.cache_clear()
+        for seed, visit in enumerate((2, 1, None)):
+            self.run("M20", None, seed, visit)
+        game = agent_sim._Laws(params, lp)
+        assert sorted(game.laws.values()) == list(range(len(game.laws)))
+        for key, row in game.laws.items():
+            stay, change = game.masses(*divmod(key, params.M + 1))
+            cum = np.cumsum(change)
+            assert game.ps[row] == cum[-1] / (stay.sum() + cum[-1])
+            assert (game.stays[row] == stay / stay.sum()).all()
+            assert (game.cums[row] == cum).all()
+
     def test_shared_laws_are_read_only(self):
         self.run("M6", None, seed=1)
         game = agent_sim._Laws(*self.GAMES["M6"][:2])
@@ -666,9 +707,10 @@ class TestLawBytes:
     def largest_m(n):
         """Largest M at which a game of group size n gets one law within _LAW_BYTES."""
         cells, moves = (n + 1) * (n + 2) // 2, 6 + 3 * n * (n - 1)
-        # one law's stay row, skip included, and the cumulative masses of its
-        # moves; the game's tables per move and per round cell
-        rest = agent_sim._LAW_BYTES - 8 * (cells + 1 + moves) - 96 * moves - 40 * cells
+        # one law's change probability, stay row, skip included, cumulative
+        # masses of its moves and store entry; the game's tables per move and
+        # per round cell
+        rest = agent_sim._LAW_BYTES - 8 * (cells + 2 + moves) - 112 - 96 * moves - 40 * cells
         # the comb table C(x, j) for x <= M and j <= n takes the rest
         return rest // (8 * (n + 1)) - 1
 
@@ -701,6 +743,35 @@ class TestLawBytes:
             n += 1
         assert worst[0] < 162
         assert worst[1] == (2824, 83)
+
+    def test_store_and_tables_stay_within_the_bound(self):
+        # at N = 20, M = 100 one run fills the game's budget; gc.collect()
+        # empties the interpreter's free lists, so the traced bytes are the
+        # live objects'
+        def traced():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        lp, start = LearningParams(), Population(34, 33, 33)
+        params = PGGParams(M=100, N=20, r=10)
+        with sampler(visit=1):
+            run_abm(start, params, lp, 1, seed=0)  # numpy's lazy imports
+            agent_sim._Laws.cache_clear()
+            tracemalloc.start()
+            try:
+                before = traced()
+                # the same pay and adopt tables, and no law: past the bound
+                assert agent_sim._Laws(PGGParams(M=10**6, N=20, r=10), lp).budget == 0
+                per_event = traced() - before
+                agent_sim._Laws.cache_clear()
+                before = traced()
+                run_abm(start, params, lp, 100, seed=1)
+                game = agent_sim._Laws(params, lp)
+                law_path = traced() - before - per_event
+            finally:
+                tracemalloc.stop()
+        assert len(game.laws) == game.budget == 364
+        assert law_path <= agent_sim._LAW_BYTES
 
     def test_game_past_the_bound_runs_per_event(self):
         params, lp = PGGParams(M=10**6, N=5), LearningParams(pr=0.0, pe=1e-5)

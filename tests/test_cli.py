@@ -195,19 +195,23 @@ class TestGoldenOutputs:
     against the budget too, which fell to 368 there, with the same reason
     and the same check. All four abm digests kept their bytes when a game's
     laws became rows of preallocated arrays keyed by one int per state: the
-    rows hold the same values, so the same draws. A rerun-equality check
-    cannot see a change in the random stream or the number formatting; these
-    can. A change that alters a stream on purpose updates the digest and
+    rows hold the same values, so the same draws. All four were recorded
+    again when a run began to admit a state to the law path on its 4th visit
+    instead of its first, with a budget of 3072 laws instead of 1024, which
+    changes the random stream on purpose, with the same law; at N = 20 the
+    store entries now count against the bytes, and the budget is 364. A
+    rerun-equality check cannot see a change in the random stream or the
+    number formatting; these can. A change that alters a stream on purpose updates the digest and
     says so.
     """
 
     @pytest.mark.parametrize("argv, digest", [
         (["abm", "--seed", "3", "--set", "t=300", "--set", "M=50"],
-         "ab5888ec97b9ce055504d278c917184190f8574cdc582463a4c37395c7ed5d39"),
+         "5d5d45a7ff6ff2ff6280212186408a91d4563a043bf7cd330a758afc981f18c9"),
         (["abm", "--seed", "5", "--set", "M=20", "--set", "N=4", "--set", "r=2",
           "--set", "g=0", "--set", "beta=5", "--set", "pe=0.2", "--set", "pr=0.5",
           "--set", "t=2000"],
-         "620f023ed28f66aff30a988cbd10b2581f06b610b5e65b8bccd4cf71de30471b"),
+         "52adcf1bc520ec31ef008aa745965e772b89a81fe07076975e9ac5acb266206b"),
         (["ode", "--set", "steps=300"],
          "89d7a7995c7f1276bd6a8a8f67689bc3f746837ec6e9edf744a1ecad94ae84fc"),
         (["sweep", "--set", "steps=100", "--grid", "g=0.5,3.0"],
@@ -220,16 +224,16 @@ class TestGoldenOutputs:
           "--grid", "N=2,3,5,7", "--grid", "mode=replicator,mutator,network",
           "--grid", "g=0.5,3", "--grid", "u=1e-10,1e-3"],
          "e8207f21030f525da52c3191350f9b1134b7e9d0cc360bff2553eda61ebfca95"),
-        # N = 20: a budget of 368 laws, all of which a run uses, so both
+        # N = 20: a budget of 364 laws, of which this run builds 338, so both
         # sampling paths run
         (["abm", "--seed", "2", "--set", "N=20", "--set", "r=10", "--set", "t=1000"],
-         "8ee284d2d9161caa95247a09eab463231353335b2c17c3a7de3d5d73c721cec2"),
+         "119c8cb2fd1c659472328df8774be281d0ba1da69809122427875dc898656aa7"),
         # 10,001 and 5,001 rows, past two and one of the CSV writer's 4,096-row
         # chunks; recorded when whole columns were formatted at once
         (["ode", "--set", "steps=10000"],
          "3dbf4f592d96491b9aefb2d580626994e2c3d0f616db09f578b8185f34e237cf"),
         (["abm", "--seed", "3", "--set", "t=5000", "--set", "M=50"],
-         "19a8002b927cf50d514d47fb68bc7d10692d3747899609b0939a8cfaa61e95f1"),
+         "a928af7a924f4cbe5f4563234e94ef04476964a045cac69e82ab937d173bb7e8"),
     ], ids=["abm", "abm-explore", "ode", "sweep", "graph", "sweep-lockstep", "abm-large-group",
             "ode-chunks", "abm-chunks"])
     def test_digest(self, tmp_path, argv, digest):

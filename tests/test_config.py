@@ -205,6 +205,7 @@ class TestReadme:
         for pattern, value in (
             (r"A group of (\d+) or more points", dynamics._LOCKSTEP_MIN_RUNS),
             (r"The budget is (\d+) states", agent_sim._LAW_BUDGET),
+            (r"in a state from its (\d+)th visit to it on", agent_sim._LAW_VISIT),
             (r"would not fit in (\d+) MiB", agent_sim._LAW_BYTES / 2**20),
             (r"up to (\d+) stretches in one multinomial call", agent_sim._BATCH_STRETCHES),
         ):
