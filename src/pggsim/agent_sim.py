@@ -27,10 +27,11 @@ the events are simulated one at a time until the state changes. Both paths
 sample the same law, and which one runs depends only on the run's own
 history, so the process is exact in distribution. The laws themselves belong
 to the game, as rows of preallocated arrays: a run takes each admitted
-state's law from the game's store or builds it into a free row, and at its
-end adds its laws to the store if both together stay within its budget, so
-a game keeps no more laws than one run builds. A law's bits do not depend on
-when or by which run it was built, so what ran earlier changes no output.
+state's law from the game's store or builds it into the store's next row,
+and keeps it there. A run whose budget would not fit in the rows left free
+clears the store first, so the store's one bound is the game's rows. A law's
+bits do not depend on when or by which run it was built, so what ran earlier
+changes no output.
 
 Reproducibility: every run consumes exactly one generator created from its
 seed, so runs are reproducible independently of execution order; concurrent
@@ -184,8 +185,9 @@ _LAW_BUDGET = 3072
 # abm-explore, 262k and 251k of 10^6 (995k under the old rule), and 4 the
 # fewer on abm-default, 27k against 32k (12k under the old rule).
 _LAW_VISIT = 4
-# Bytes the laws one run builds may take, the game's law-path tables included:
-# a law holds about 3 N^2 values, so at large N fewer laws fit. Within this
+# Bytes a game's store of laws may take, its law-path tables included: the
+# rows that fit are the store's one bound, which the game's runs share. A law
+# holds about 3 N^2 values, so at large N fewer laws fit. Within this
 # bound every C(M, N) is below 1e162 (at worst 10^161.3, at M=2824, N=83), so
 # no weight overflows.
 _LAW_BYTES = 4 << 20
@@ -244,12 +246,12 @@ class _Laws:
     ps[i], the probability that an event changes the state, stays[i], the
     distribution of the outcome of an event that keeps it, and cums[i], the
     cumulative masses of the moves. Runs read them through these read-only
-    views; law(n_c, n_d, i) writes the law of state (n_c, n_d) into row i
-    and nothing else. budget is the number of laws that fit in _LAW_BYTES
-    beside comb, groups, keep, cell, take, moves and stay_pay. laws maps
-    the key n_c (M + 1) + n_d of each state to its row, the first rows of
-    the store, at most one run's budget of them (see run_abm). A game whose
-    budget is 0 holds only what the per-event path reads: pay and adopt.
+    views. budget is the number of rows that fit in _LAW_BYTES beside comb,
+    groups, keep, cell, take, moves and stay_pay, the store's one bound.
+    laws maps the key n_c (M + 1) + n_d of each stored state to its row, the
+    first len(laws) rows of the store; only law and run_abm's start-of-run
+    clear touch it. A game whose budget is 0 holds only what the per-event
+    path reads: pay and adopt.
     """
 
     def __init__(self, params: PGGParams, lp: LearningParams):
@@ -332,15 +334,22 @@ class _Laws:
         w = self.comb[(n_c, n_d, self.m - n_c - n_d), self.groups].prod(axis=1)
         return w[:len(self.keep)] * self.keep, w[self.cell] * self.take
 
-    def law(self, n_c: int, n_d: int, row: int) -> None:
-        ps, stays, cums = self._store
-        stay, change = self.masses(n_c, n_d)
-        kept = float(stay.sum())
-        moved = float(np.add.accumulate(change, out=cums[row])[-1])
-        if kept > 0.0:
-            stay /= kept
-        stays[row] = stay
-        ps[row] = moved / (kept + moved)
+    def law(self, key: int) -> int:
+        """The row of the state with this key, its law built into the next row if not stored."""
+        row = self.laws.get(key)
+        if row is None:
+            ps, stays, cums = self._store
+            row = len(self.laws)
+            stay, change = self.masses(*divmod(key, self.m + 1))
+            kept = float(stay.sum())
+            moved = float(np.add.accumulate(change, out=cums[row])[-1])
+            if kept > 0.0:
+                stay /= kept
+            stays[row] = stay
+            ps[row] = moved / (kept + moved)
+            # only a finished row is stored: a build that raises leaves it free
+            self.laws[key] = row
+        return row
 
 
 def run_abm(
@@ -368,13 +377,12 @@ def run_abm(
     pe = lp.pe
     counts = list(initial.counts())
     game = _Laws(params, lp)
-    pay, adopt, law_of, shared = game.pay, game.adopt, game.law, game.laws
+    pay, adopt = game.pay, game.adopt
     budget = min(_LAW_BUDGET, game.budget)
-    # this run writes the laws it builds into the rows after the store's,
-    # so those must hold its whole budget
-    if len(shared) + budget > game.budget:
-        shared.clear()
-    start = top = len(shared)
+    # this run builds its laws into the rows after the store's, so those
+    # must hold its whole budget
+    if len(game.laws) + budget > game.budget:
+        game.laws.clear()
     # the rows of the states this run admits to the law path, by state key:
     # the path depends on this run alone, whatever the game's store holds
     rows: dict[int, int] = {}
@@ -423,11 +431,7 @@ def run_abm(
                 if seen < visit:
                     visits[key] = seen
                 else:
-                    row = shared.get(key)
-                    if row is None:
-                        row, top = top, top + 1
-                        law_of(counts[0], counts[1], row)
-                    rows[key] = row
+                    row = rows[key] = game.law(key)
 
             if row is None:
                 # no law: one event at a time until the state changes
@@ -512,10 +516,6 @@ def run_abm(
 
     if held:
         draw_held()
-    # the game keeps no more laws than one run may build; the laws this run
-    # built are its rows from start on
-    if len(shared) + top - start <= budget:
-        shared.update((key, row) for key, row in rows.items() if row >= start)
     freqs /= m
     np.divide(means, played, out=means, where=played > 0)
     return AbmTrajectory(generations=gens, frequencies=freqs, mean_payoffs=means)

@@ -127,15 +127,17 @@ def sampler(budget=None, batch=None, chunk=None, visit=None):
 
 
 @contextlib.contextmanager
-def counting_builds(game):
-    """Record the states whose laws runs of this game build while the block runs."""
-    built = []
-    law = game.law
-    game.law = lambda n_c, n_d, row: built.append((n_c, n_d)) or law(n_c, n_d, row)
+def counting_builds(game, method="masses"):
+    """Record the arguments of each call of the game's `method` while the block runs: by
+    default the states whose laws runs of this game build, as law also serves lookups."""
+    calls = []
+    wrapped = getattr(game, method)
+    setattr(game, method, lambda *args: calls.append(args) or wrapped(*args))
     try:
-        yield built
+        yield calls
     finally:
-        del game.law  # the wrapper holds the game: drop it, or the game outlives its cache
+        # the wrapper holds the game: drop it, or the game outlives its cache
+        delattr(game, method)
 
 
 # Sampling paths by name. A visit of 1 admits each state on its first visit,
@@ -655,31 +657,92 @@ class TestSharedLaws:
         assert agent_sim._Laws(params, lp) is game
         assert built == []
 
-    def test_store_holds_at_most_one_runs_budget(self):
+    @staticmethod
+    def keys(game, states):
+        return {n_c * (game.m + 1) + n_d for n_c, n_d in states}
+
+    def test_store_keeps_every_law_it_has_rows_for(self):
         params, lp, _ = self.GAMES["M20"]
-        seeds = range(5)
         agent_sim._Laws.cache_clear()
-        warm = [self.run("M20", 8, seed) for seed in seeds]
-        assert 0 < len(agent_sim._Laws(params, lp).laws) <= 8
+        game = agent_sim._Laws(params, lp)
+        with counting_builds(game) as built:
+            warm = [self.run("M20", 8, seed) for seed in range(3)]
+        stored = self.keys(game, built)
+        assert len(stored) == len(built) > 8
+        assert game.laws.keys() == stored
+        # a fourth run looks up the stored states it admits and builds only the others
+        with counting_builds(game, "law") as admitted, counting_builds(game) as built:
+            warm.append(self.run("M20", 8, 3))
+        admitted = {key for key, in admitted}
+        assert admitted & stored
+        assert self.keys(game, built) == admitted - stored
+        assert len(game.laws) <= game.budget
         fresh = []
-        for seed in seeds:
+        for seed in range(4):
             agent_sim._Laws.cache_clear()
             fresh.append(self.run("M20", 8, seed))
         assert warm == fresh
+
+    def test_run_that_does_not_fit_clears_the_store(self):
+        params, lp, _ = self.GAMES["M20"]
+        agent_sim._Laws.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agent_sim, "_LAW_BYTES", 13_000)
+            game = agent_sim._Laws(params, lp)
+        # rows for one run's 8 laws but not for two
+        assert 8 <= game.budget < 16
+        warm = []
+        for seed in range(3):
+            with counting_builds(game) as built:
+                warm.append(self.run("M20", 8, seed, visit=1))
+            assert len(built) == 8
+            assert game.laws.keys() == self.keys(game, built)
+        fresh = []
+        for seed in range(3):
+            agent_sim._Laws.cache_clear()
+            fresh.append(self.run("M20", 8, seed, visit=1))
+        assert warm == fresh
+
+    def assert_rows_hold_their_laws(self, game):
+        assert sorted(game.laws.values()) == list(range(len(game.laws)))
+        for key, row in game.laws.items():
+            stay, change = game.masses(*divmod(key, game.m + 1))
+            cum = np.cumsum(change)
+            assert game.ps[row] == cum[-1] / (stay.sum() + cum[-1])
+            assert (game.stays[row] == stay / stay.sum()).all()
+            assert (game.cums[row] == cum).all()
 
     def test_store_rows_hold_their_states_laws(self):
         params, lp, _ = self.GAMES["M20"]
         agent_sim._Laws.cache_clear()
         for seed, visit in enumerate((2, 1, None)):
             self.run("M20", None, seed, visit)
+        self.assert_rows_hold_their_laws(agent_sim._Laws(params, lp))
+
+    def test_build_that_raises_stores_no_law(self):
+        params, lp, _ = self.GAMES["M20"]
+        agent_sim._Laws.cache_clear()
         game = agent_sim._Laws(params, lp)
-        assert sorted(game.laws.values()) == list(range(len(game.laws)))
-        for key, row in game.laws.items():
-            stay, change = game.masses(*divmod(key, params.M + 1))
-            cum = np.cumsum(change)
-            assert game.ps[row] == cum[-1] / (stay.sum() + cum[-1])
-            assert (game.stays[row] == stay / stay.sum()).all()
-            assert (game.cums[row] == cum).all()
+        masses = game.masses
+        calls = []
+
+        def failing(n_c, n_d):
+            calls.append((n_c, n_d))
+            if len(calls) == 3:
+                raise RuntimeError("build failed")
+            return masses(n_c, n_d)
+
+        game.masses = failing
+        try:
+            with pytest.raises(RuntimeError, match="build failed"):
+                self.run("M20", None, seed=1, visit=1)
+        finally:
+            del game.masses
+        assert self.keys(game, calls[:2]) == game.laws.keys()
+        self.assert_rows_hold_their_laws(game)
+        warm = self.run("M20", None, seed=2)
+        agent_sim._Laws.cache_clear()
+        assert warm == self.run("M20", None, seed=2)
 
     def test_shared_laws_are_read_only(self):
         self.run("M6", None, seed=1)

@@ -222,6 +222,35 @@ class TestIntegrate:
             freqs = integrate(state, params, REPLICATOR, 0.01, 2000).frequencies
             assert (np.diff(np.log(freqs[:, 0] / freqs[:, 1])) < 0).all(), (state, params)
 
+    def test_mutator_log_ratio_rate_adds_the_exploration_term(self):
+        # exploration adds u (1 - 3 x_i) to each share, so u (1/x - 1/y) to d/dt ln(x/y)
+        rng = np.random.default_rng(9)
+        for state in states(2000, 9):
+            n = int(rng.choice([3, 5, 8]))
+            params = PGGParams(N=n, r=float(rng.uniform(1.0, n)), g=float(rng.choice([0, 0.5, 2])),
+                               c=float(rng.choice([0.5, 1, 3])), u=float(10 ** rng.uniform(-12, -1)))
+            dx, dy, _ = mutator_rhs(state, params)
+            selection = -params.c * (1.0 - state.z ** (n - 1))
+            exploration = params.u * (1.0 / state.x - 1.0 / state.y)
+            tolerance = 1e-14 * max(abs(selection), abs(exploration))
+            assert abs(dx / state.x - dy / state.y - (selection + exploration)) <= tolerance
+
+    def test_mutator_log_ratio_falls_while_x_is_above_its_bound(self):
+        # so ln(x/y) falls wherever x > u / (c (1 - z**(N-1))) and rises well below it
+        params = PGGParams()
+        freqs = integrate(START, params, MUTATOR, 0.01, 20_000).frequencies
+        x, _, z = freqs[:-1].T
+        change = np.diff(np.log(freqs[:, 0] / freqs[:, 1]))
+        bound = params.u / (params.c * (1.0 - z ** (params.N - 1)))
+        above, below = x > 1.01 * bound, x < 0.99 * bound
+        assert (above.sum(), below.sum()) == (2714, 17_277)
+        assert (change[above] < 0).all() and (change[below] > 0).all()
+        # the run from START reaches the bound at u = 1e-10: x is about 4e-10 from step 2,719 on
+        first = int(np.argmax(change >= 0))
+        assert first + 1 == 2719
+        assert x[first] == pytest.approx(3.8190e-10, rel=1e-4)
+        assert bound[first] == pytest.approx(3.8189e-10, rel=1e-4)
+
 
 class TestIntegrateLockstep:
     """The lockstep kernel against the scalar `integrate`, sample for sample, bit for bit."""
